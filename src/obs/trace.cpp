@@ -16,8 +16,11 @@ void trace_log_sink(const std::string& message) {
 }
 // Tracks which tracer this thread's cached buffer belongs to, so a
 // fresh install after an uninstall re-attaches instead of writing into
-// a dead tracer's buffer.
-thread_local Tracer* tls_owner = nullptr;
+// a dead tracer's buffer. Keyed by a never-reused id, not the tracer's
+// address: a tracer built where a destroyed one lived shares its
+// address but not its buffers.
+std::atomic<std::uint64_t> g_next_tracer_id{1};
+thread_local std::uint64_t tls_owner = 0;
 thread_local void* tls_buffer = nullptr;
 
 struct CategoryName {
@@ -41,7 +44,9 @@ constexpr CategoryName kCategoryNames[] = {
 }  // namespace
 
 Tracer::Tracer(std::size_t capacity_per_buffer, TraceSink* sink)
-    : capacity_per_buffer_(capacity_per_buffer), sink_(sink) {}
+    : id_(g_next_tracer_id.fetch_add(1, std::memory_order_relaxed)),
+      capacity_per_buffer_(capacity_per_buffer),
+      sink_(sink) {}
 
 Tracer::Buffer* Tracer::attach_buffer() {
   std::lock_guard<std::mutex> lock(attach_mutex_);
@@ -51,9 +56,9 @@ Tracer::Buffer* Tracer::attach_buffer() {
 
 void Tracer::emit(TraceRecord&& record) {
   auto* buffer = static_cast<Buffer*>(tls_buffer);
-  if (tls_owner != this || buffer == nullptr) {
+  if (tls_owner != id_ || buffer == nullptr) {
     buffer = attach_buffer();
-    tls_owner = this;
+    tls_owner = id_;
     tls_buffer = buffer;
   }
   if (buffer->records.size() >= capacity_per_buffer_) {

@@ -137,6 +137,7 @@ class Tracer {
   Buffer* attach_buffer();
   void flush_buffer(Buffer& buffer);
 
+  const std::uint64_t id_;  // unique per tracer; keys the per-thread cache
   std::size_t capacity_per_buffer_;
   TraceSink* sink_;
   mutable std::mutex attach_mutex_;

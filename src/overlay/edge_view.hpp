@@ -29,6 +29,14 @@
 // every live sampled pseudonym P of u — is exactly what
 // overlay_snapshot() builds, normalized to u < v, sorted and
 // deduplicated, ready for CsrGraph::assign_from_edges.
+//
+// Sorting is a counting sort on the lower endpoint: one pass counts
+// each pair under its lower endpoint (refreshing stale slices on the
+// way), a prefix sum turns the counts into bucket bounds, a second
+// pass scatters the pairs into their buckets, and only the small
+// per-node buckets are sorted and deduplicated, compacting in place.
+// Linear in the pair count P, against O(P log P) for sorting all P
+// pairs at once, in the same memory plus one bound per node.
 #pragma once
 
 #include <algorithm>
@@ -38,6 +46,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/check.hpp"
 #include "graph/csr.hpp"
 #include "overlay/sampler.hpp"
 
@@ -68,10 +77,12 @@ class OverlayEdgeView {
       state_.push_back(st);
     }
 
-    edges_.clear();
+    // Pass 1: refresh stale slices; count each pair under its lower
+    // endpoint (bucket_[lo] holds the count, then an inclusive prefix).
+    bucket_.assign(n + 1, 0);
     for (graph::NodeId u = 0; u < n; ++u) {
       for (const graph::NodeId v : trust.neighbors(u))
-        if (u < v) edges_.emplace_back(u, v);
+        if (u < v) ++bucket_[u];
 
       NodeState& st = state_[u];
       const SlotSampler& sampler = sampler_of(u);
@@ -96,13 +107,43 @@ class OverlayEdgeView {
       } else {
         ++slices_reused_;
       }
+      for (std::uint32_t i = 0; i < st.len; ++i)
+        ++bucket_[std::min(u, targets_[st.offset + i])];
+    }
+    std::size_t pairs = 0;
+    for (graph::NodeId u = 0; u < n; ++u) {
+      pairs += bucket_[u];
+      bucket_[u] = static_cast<std::uint32_t>(pairs);
+    }
+    PPO_CHECK_MSG(pairs <= std::numeric_limits<std::uint32_t>::max(),
+                  "overlay edge enumeration exceeds 2^32 pairs");
+    bucket_[n] = static_cast<std::uint32_t>(pairs);
+
+    // Pass 2: scatter the pairs, filling each bucket from its end;
+    // afterwards bucket u spans [bucket_[u], bucket_[u + 1]).
+    edges_.resize(pairs);
+    for (graph::NodeId u = 0; u < n; ++u) {
+      for (const graph::NodeId v : trust.neighbors(u))
+        if (u < v) edges_[--bucket_[u]] = {u, v};
+      const NodeState& st = state_[u];
       for (std::uint32_t i = 0; i < st.len; ++i) {
         const graph::NodeId t = targets_[st.offset + i];
-        edges_.emplace_back(std::min(u, t), std::max(u, t));
+        const graph::NodeId lo = std::min(u, t);
+        edges_[--bucket_[lo]] = {lo, std::max(u, t)};
       }
     }
-    std::sort(edges_.begin(), edges_.end());
-    edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
+
+    // Pass 3: sort each bucket and compact it, deduplicated, towards
+    // the front — the order a global sort and unique would produce.
+    std::size_t out = 0;
+    for (graph::NodeId u = 0; u < n; ++u) {
+      const auto first = edges_.begin() + bucket_[u];
+      const auto last = edges_.begin() + bucket_[u + 1];
+      std::sort(first, last);
+      for (auto it = first; it != last; ++it)
+        if (it == first || it->second != (it - 1)->second) edges_[out++] = *it;
+    }
+    edges_.resize(out);
     return {edges_.data(), edges_.size()};
   }
 
@@ -116,7 +157,8 @@ class OverlayEdgeView {
     return state_.capacity() * sizeof(NodeState) +
            targets_.capacity() * sizeof(graph::NodeId) +
            edges_.capacity() * sizeof(edges_[0]) +
-           scratch_.capacity() * sizeof(PseudonymValue);
+           scratch_.capacity() * sizeof(PseudonymValue) +
+           bucket_.capacity() * sizeof(std::uint32_t);
   }
 
  private:
@@ -136,6 +178,8 @@ class OverlayEdgeView {
   std::vector<graph::NodeId> targets_;
   std::vector<std::pair<graph::NodeId, graph::NodeId>> edges_;
   std::vector<PseudonymValue> scratch_;
+  /// Counting-sort scratch: per-lower-endpoint bucket bounds (n + 1).
+  std::vector<std::uint32_t> bucket_;
   std::uint64_t slices_reused_ = 0;
   std::uint64_t slices_recomputed_ = 0;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <exception>
 #include <utility>
 
 #include "common/rng.hpp"
@@ -16,7 +17,7 @@ namespace ppo::sim {
 namespace {
 
 /// Execution context of the event running on this thread, if any.
-/// Thread-local so shard workers resolve now()/schedule_at against
+/// Thread-local so shard threads resolve now()/schedule_at against
 /// their own in-flight event without synchronization.
 struct ExecContext {
   const ShardedSimulator* sim = nullptr;
@@ -27,6 +28,26 @@ struct ExecContext {
 };
 
 thread_local ExecContext* tls_ctx = nullptr;
+
+/// Installs an execution context on this thread for one shard window
+/// and restores the previous one on exit — also when an event throws,
+/// which matters since shard 0 runs on the caller's thread.
+class ContextScope {
+ public:
+  explicit ContextScope(ExecContext& ctx) : prev_(tls_ctx) {
+    tls_ctx = &ctx;
+    obs::set_trace_shard(static_cast<std::uint32_t>(ctx.shard));
+  }
+  ~ContextScope() {
+    tls_ctx = prev_;
+    obs::set_trace_shard(0);
+  }
+  ContextScope(const ContextScope&) = delete;
+  ContextScope& operator=(const ContextScope&) = delete;
+
+ private:
+  ExecContext* const prev_;
+};
 
 }  // namespace
 
@@ -42,8 +63,8 @@ ShardedSimulator::ShardedSimulator(Options options) : options_(options) {
   stats_.assign(options_.shards, ShardStats{});
   window_busy_.assign(options_.shards, 0.0);
   if (options_.shards > 1) {
-    pool_ = std::make_unique<runner::ThreadPool>(options_.shards,
-                                                 2 * options_.shards);
+    pool_ = std::make_unique<runner::ThreadPool>(options_.shards - 1,
+                                                 options_.shards - 1);
   }
 }
 
@@ -81,11 +102,11 @@ void ShardedSimulator::schedule_at_for(ActorId actor, Time t, EventFn fn) {
   ExecContext* ctx = tls_ctx;
   if (ctx != nullptr && ctx->sim == this) {
     PPO_CHECK_MSG(t >= ctx->now, "cannot schedule into the past");
-    Entry entry{t, ctx->actor, actor_seq_[ctx->actor]++, actor,
+    Event event{t, ctx->actor, actor_seq_[ctx->actor]++, actor,
                 std::move(fn)};
-    ctx->last_ticket = EventTicket{entry.origin, entry.seq};
+    ctx->last_ticket = EventTicket{event.origin, event.seq};
     if (dst == ctx->shard) {
-      queues_[dst].push(std::move(entry));
+      queues_[dst].push(std::move(event));
     } else {
       // The lookahead guarantee: cross-shard events always land at or
       // beyond the current window's end, so delivering them at the
@@ -94,14 +115,14 @@ void ShardedSimulator::schedule_at_for(ActorId actor, Time t, EventFn fn) {
                     "cross-shard event inside the current window violates "
                     "the lookahead contract (latency < lookahead?)");
       ++stats_[ctx->shard].mailbox_out;
-      mailboxes_[ctx->shard][dst].push_back(std::move(entry));
+      mailboxes_[ctx->shard][dst].push_back(std::move(event));
     }
   } else {
     PPO_CHECK_MSG(!in_window_, "external scheduling during a window");
     PPO_CHECK_MSG(t >= now_, "cannot schedule into the past");
     external_last_ticket_ = EventTicket{kExternalActor, external_seq_};
     queues_[dst].push(
-        Entry{t, kExternalActor, external_seq_++, actor, std::move(fn)});
+        Event{t, kExternalActor, external_seq_++, actor, std::move(fn)});
   }
 }
 
@@ -136,7 +157,7 @@ void ShardedSimulator::restore_event(Time t, ActorId origin,
                 "restored events cannot lie before the checkpoint");
   PPO_CHECK_MSG(target < options_.num_actors, "actor out of range");
   PPO_CHECK_MSG(static_cast<bool>(fn), "event callback must be callable");
-  queues_[shard_of(target)].push(Entry{t, origin, seq, target, std::move(fn)});
+  queues_[shard_of(target)].push(Event{t, origin, seq, target, std::move(fn)});
 }
 
 void ShardedSimulator::run_shard_window(std::size_t shard, Time window_end) {
@@ -145,31 +166,26 @@ void ShardedSimulator::run_shard_window(std::size_t shard, Time window_end) {
   ExecContext ctx;
   ctx.sim = this;
   ctx.shard = shard;
-  ExecContext* const prev = tls_ctx;
-  tls_ctx = &ctx;
-  obs::set_trace_shard(static_cast<std::uint32_t>(shard));
-  ShardStats& stats = stats_[shard];
-  Queue& queue = queues_[shard];
-  stats.max_queue = std::max(stats.max_queue, queue.size());
   std::uint64_t executed = 0;
-  while (!queue.empty() && queue.top().time < window_end) {
-    // Move the entry out before popping so the callback may push more
-    // events into this queue.
-    Entry entry = std::move(const_cast<Entry&>(queue.top()));
-    queue.pop();
-    ctx.actor = entry.target;
-    ctx.now = entry.time;
-    set_sim_time_context(entry.time);
-    ++executed;
-    entry.fn();
+  ShardStats& stats = stats_[shard];
+  {
+    const ContextScope scope(ctx);
+    EventQueue& queue = queues_[shard];
+    stats.max_queue = std::max(stats.max_queue, queue.size());
+    while (!queue.empty() && queue.top_time() < window_end) {
+      Event event = queue.pop();
+      ctx.actor = event.target;
+      ctx.now = event.time;
+      set_sim_time_context(event.time);
+      ++executed;
+      event.fn();
+    }
+    if (executed > 0 && obs::trace_enabled(obs::TraceCategory::kShard)) {
+      set_sim_time_context(window_end);
+      PPO_TRACE_COUNTER(obs::TraceCategory::kShard, "window_events",
+                        obs::kExternalOrigin, executed);
+    }
   }
-  if (executed > 0 && obs::trace_enabled(obs::TraceCategory::kShard)) {
-    set_sim_time_context(window_end);
-    PPO_TRACE_COUNTER(obs::TraceCategory::kShard, "window_events",
-                      obs::kExternalOrigin, executed);
-  }
-  tls_ctx = prev;
-  obs::set_trace_shard(0);
   stats.events += executed;
   ++stats.windows;
   if (options_.profile) {
@@ -186,7 +202,7 @@ void ShardedSimulator::drain_mailboxes() {
   for (auto& row : mailboxes_) {
     for (std::size_t dst = 0; dst < row.size(); ++dst) {
       drained += row[dst].size();
-      for (Entry& entry : row[dst]) queues_[dst].push(std::move(entry));
+      for (Event& event : row[dst]) queues_[dst].push(std::move(event));
       row[dst].clear();
     }
   }
@@ -210,35 +226,7 @@ std::size_t ShardedSimulator::run_until(Time end) {
     if (pool_ == nullptr) {
       run_shard_window(0, window_end);
     } else {
-      using Clock = std::chrono::steady_clock;
-      const auto wall_start =
-          options_.profile ? Clock::now() : Clock::time_point{};
-      for (std::size_t s = 0; s < queues_.size(); ++s) {
-        pool_->submit([this, s, window_end] {
-          run_shard_window(s, window_end);
-        });
-      }
-      pool_->drain();  // barrier; rethrows a worker's exception
-      if (options_.profile) {
-        // A shard's stall is the tail of the window it spent waiting
-        // for the slowest shard — the skew trace_summarize tabulates.
-        const double window_wall =
-            std::chrono::duration<double>(Clock::now() - wall_start).count();
-        auto* live = obs::live_metrics();
-        for (std::size_t s = 0; s < stats_.size(); ++s) {
-          const double stall = std::max(0.0, window_wall - window_busy_[s]);
-          stats_[s].stall_seconds += stall;
-          if (live != nullptr) {
-            // Per-window wall-clock load profile, streamed into the
-            // live registry at the barrier (coordinator thread only,
-            // after the workers joined — no concurrent writers).
-            // Wall-clock-side: values never feed back into the sim.
-            const obs::MetricDims dims{{"shard", std::to_string(s)}};
-            live->observe("shard_window_busy_seconds", window_busy_[s], dims);
-            live->observe("shard_window_stall_seconds", stall, dims);
-          }
-        }
-      }
+      run_parallel_window(window_end);
     }
     in_window_ = false;
     drain_mailboxes();
@@ -249,6 +237,48 @@ std::size_t ShardedSimulator::run_until(Time end) {
   return static_cast<std::size_t>(events_executed() - before);
 }
 
+void ShardedSimulator::run_parallel_window(Time window_end) {
+  using Clock = std::chrono::steady_clock;
+  const auto wall_start = options_.profile ? Clock::now() : Clock::time_point{};
+  for (std::size_t s = 1; s < queues_.size(); ++s) {
+    pool_->submit([this, s, window_end] { run_shard_window(s, window_end); });
+  }
+  std::exception_ptr error;
+  try {
+    run_shard_window(0, window_end);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  // The barrier, also when shard 0 threw: no shard may still be running
+  // when the exception leaves run_until.
+  try {
+    pool_->drain();
+  } catch (...) {
+    if (!error) error = std::current_exception();
+  }
+  if (error) std::rethrow_exception(error);
+  if (options_.profile) {
+    // A shard's stall is the tail of the window it spent waiting for
+    // the slowest shard — the skew trace_summarize tabulates.
+    const double window_wall =
+        std::chrono::duration<double>(Clock::now() - wall_start).count();
+    auto* live = obs::live_metrics();
+    for (std::size_t s = 0; s < stats_.size(); ++s) {
+      const double stall = std::max(0.0, window_wall - window_busy_[s]);
+      stats_[s].stall_seconds += stall;
+      if (live != nullptr) {
+        // Per-window wall-clock load profile, streamed into the live
+        // registry at the barrier (coordinator thread only, after the
+        // workers joined — no concurrent writers). Wall-clock-side:
+        // values never feed back into the sim.
+        const obs::MetricDims dims{{"shard", std::to_string(s)}};
+        live->observe("shard_window_busy_seconds", window_busy_[s], dims);
+        live->observe("shard_window_stall_seconds", stall, dims);
+      }
+    }
+  }
+}
+
 std::uint64_t ShardedSimulator::events_executed() const {
   std::uint64_t total = events_base_;
   for (const ShardStats& s : stats_) total += s.events;
@@ -257,7 +287,7 @@ std::uint64_t ShardedSimulator::events_executed() const {
 
 std::size_t ShardedSimulator::pending() const {
   std::size_t total = 0;
-  for (const Queue& q : queues_) total += q.size();
+  for (const EventQueue& q : queues_) total += q.size();
   for (const auto& row : mailboxes_)
     for (const auto& box : row) total += box.size();
   return total;

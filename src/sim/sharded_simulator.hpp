@@ -38,11 +38,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "common/check.hpp"
 #include "sim/backend.hpp"
+#include "sim/event_queue.hpp"
 
 namespace ppo::runner {
 class ThreadPool;
@@ -53,7 +53,8 @@ namespace ppo::sim {
 class ShardedSimulator final : public SimulatorBackend {
  public:
   struct Options {
-    /// Shard (and worker-thread) count. 1 = serial execution on the
+    /// Shard (and thread) count: shard 0 runs on the caller's thread,
+    /// shards 1..K-1 on K-1 pool workers. 1 = serial execution on the
     /// caller's thread, still with the canonical event order — the
     /// reference run every K is bit-identical to.
     std::size_t shards = 1;
@@ -94,6 +95,9 @@ class ShardedSimulator final : public SimulatorBackend {
 
   /// Runs lockstep windows until `end` (exclusive of events exactly at
   /// `end`); the clock advances to `end`. Returns events executed.
+  /// An exception escaping an event (shard 0's first, else a worker's)
+  /// propagates only after every shard of that window has stopped; the
+  /// simulator is then unusable.
   std::size_t run_until(Time end);
 
   std::size_t num_shards() const { return queues_.size(); }
@@ -152,48 +156,29 @@ class ShardedSimulator final : public SimulatorBackend {
                      ActorId target, EventFn fn);
 
  private:
-  struct Entry {
-    Time time = 0.0;
-    /// Scheduling actor and its per-origin sequence number:
-    /// (time, origin, seq) is the canonical, K-invariant total order.
-    ActorId origin = kExternalActor;
-    std::uint64_t seq = 0;
-    /// Actor the event runs as (= the executing context for events it
-    /// schedules in turn).
-    ActorId target = kExternalActor;
-    EventFn fn;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      if (a.origin != b.origin) return a.origin > b.origin;
-      return a.seq > b.seq;
-    }
-  };
-  using Queue = std::priority_queue<Entry, std::vector<Entry>, Later>;
-
   void run_shard_window(std::size_t shard, Time window_end);
+  void run_parallel_window(Time window_end);
   void drain_mailboxes();
 
   Options options_;
   Time now_ = 0.0;         // window floor (authoritative between windows)
   Time window_end_ = 0.0;  // current window's exclusive end
   bool in_window_ = false;
-  std::vector<Queue> queues_;  // one per shard, owned by its worker
+  std::vector<EventQueue> queues_;  // one per shard, owned by its thread
   /// mailboxes_[src][dst]: cross-shard events written lock-free by
-  /// shard src's worker during a window, drained at the barrier.
-  std::vector<std::vector<std::vector<Entry>>> mailboxes_;
+  /// shard src's thread during a window, drained at the barrier.
+  std::vector<std::vector<std::vector<Event>>> mailboxes_;
   /// Per-origin sequence counters. actor_seq_[a] is only touched
   /// while actor a executes (on a's shard), so it needs no lock and
   /// its value stream is K-invariant.
   std::vector<std::uint64_t> actor_seq_;
   std::uint64_t external_seq_ = 0;  // origin counter for setup events
   /// Ticket of the most recent schedule made outside event context;
-  /// in-context tickets live in the worker's ExecContext.
+  /// in-context tickets live in the executing thread's ExecContext.
   EventTicket external_last_ticket_;
   /// Events executed before the checkpoint this run resumed from.
   std::uint64_t events_base_ = 0;
-  /// stats_[s] is written by shard s's worker during a window (events,
+  /// stats_[s] is written by shard s's thread during a window (events,
   /// mailbox_out, max_queue, busy) and by the coordinator at barriers
   /// (stall) — never both at once.
   std::vector<ShardStats> stats_;
@@ -201,7 +186,9 @@ class ShardedSimulator final : public SimulatorBackend {
   /// the coordinator right after the barrier to compute stall.
   std::vector<double> window_busy_;
   std::function<void()> barrier_hook_;
-  std::unique_ptr<runner::ThreadPool> pool_;  // absent when shards == 1
+  /// Runs shards 1..K-1; shard 0 runs on the caller of run_until, so
+  /// K shards occupy exactly K threads. Absent when shards == 1.
+  std::unique_ptr<runner::ThreadPool> pool_;
 };
 
 }  // namespace ppo::sim

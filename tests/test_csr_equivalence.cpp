@@ -26,6 +26,8 @@
 #include "graph/spectral.hpp"
 #include "metrics/streaming_connectivity.hpp"
 #include "overlay/service.hpp"
+#include "overlay/sharded_service.hpp"
+#include "sim/sharded_simulator.hpp"
 #include "sim/simulator.hpp"
 
 namespace ppo::graph {
@@ -259,6 +261,37 @@ TEST(CsrEquivalence, OverlayEdgeViewMatchesSnapshotAcrossChurn) {
     EXPECT_EQ(from_view, from_snapshot) << "t=" << t;
   }
   EXPECT_GT(service.edge_view().slices_reused(), 0u);
+}
+
+/// The same contract on the sharded service at K = 4, whose edge view
+/// resolves through the barrier-published pseudonym tables.
+TEST(CsrEquivalence, ShardedOverlayEdgeViewMatchesSnapshotAcrossChurn) {
+  Rng grng(13 ^ 0x50C1A1);
+  const Graph trust = barabasi_albert(96, 2, grng);
+  const churn::ExponentialChurn model =
+      churn::ExponentialChurn::from_availability(0.6, 20.0);
+  overlay::OverlayServiceOptions options;
+  options.params.cache_size = 24;
+  options.params.shuffle_length = 5;
+  options.params.target_links = 8;
+  options.params.pseudonym_lifetime = 15.0;  // short TTL: expiry paths
+  sim::ShardedSimulator::Options so;
+  so.shards = 4;
+  so.num_actors = trust.num_nodes();
+  so.lookahead = options.transport.min_latency;
+  sim::ShardedSimulator sim(so);
+  overlay::ShardedOverlayService service(sim, trust, model, options, 13);
+  service.start();
+
+  for (double t = 3.0; t <= 45.0; t += 3.0) {
+    sim.run_until(t);
+    const auto edges = service.overlay_edges();
+    const std::vector<std::pair<NodeId, NodeId>> from_view(edges.begin(),
+                                                           edges.end());
+    EXPECT_EQ(from_view, service.overlay_snapshot().edges()) << "t=" << t;
+  }
+  EXPECT_GT(service.edge_view().slices_reused(), 0u);
+  EXPECT_GT(service.edge_view().slices_recomputed(), 0u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <new>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -167,6 +168,25 @@ TEST(Tracer, MergedStreamIsShardCountInvariant) {
   }
   EXPECT_EQ(per_k[0], per_k[1]);
   EXPECT_EQ(per_k[0], per_k[2]);
+}
+
+/// A tracer built at the address of a destroyed one must not inherit
+/// this thread's cached buffer: that buffer died with the old tracer.
+TEST(Tracer, TracerAtReusedAddressGetsItsOwnRecords) {
+  alignas(Tracer) unsigned char storage[sizeof(Tracer)];
+  std::vector<std::string> names[2];
+  for (int round = 0; round < 2; ++round) {
+    Tracer* tracer = new (storage) Tracer();
+    install_tracer(tracer, kTraceAll);
+    set_sim_time_context(1.0);
+    PPO_TRACE_EVENT(TraceCategory::kUser, round == 0 ? "first" : "second", 1);
+    clear_sim_time_context();
+    uninstall_tracer();
+    for (const auto& r : tracer->merged()) names[round].emplace_back(r.name);
+    tracer->~Tracer();
+  }
+  EXPECT_EQ(names[0], std::vector<std::string>{"first"});
+  EXPECT_EQ(names[1], std::vector<std::string>{"second"});
 }
 
 TEST(TraceExport, ChromeJsonIsValidAndJsonlRoundTrips) {

@@ -1,8 +1,13 @@
 // Sharded simulation core: canonical cross-shard ordering, the
 // lookahead contract, external scheduling rules, window-boundary
-// semantics, and K-invariance of a randomized event storm.
+// semantics, exceptions from the caller's shard, and K-invariance of a
+// randomized event storm.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -124,6 +129,40 @@ TEST(ShardedSim, BarrierHookFiresOncePerWindow) {
   sim.set_barrier_hook([&barriers] { ++barriers; });
   sim.run_until(2.0);  // four windows of 0.5
   EXPECT_EQ(barriers, 4u);
+}
+
+// Shard 0 runs on the caller's thread. When one of its events throws,
+// run_until must still wait out the other shards' share of the window
+// before the exception leaves it, and restore the caller's context.
+TEST(ShardedSim, ShardZeroExceptionWaitsForEveryShard) {
+  const std::size_t n = 32;
+  ShardedSimulator sim(options(4, n));
+  ActorId thrower = n;
+  std::size_t others = 0;
+  std::atomic<std::size_t> ran{0};
+  std::atomic<bool> next_window{false};
+  for (ActorId v = 0; v < n; ++v) {
+    if (sim.shard_of(v) == 0) {
+      if (thrower == n) thrower = v;
+      continue;
+    }
+    ++others;
+    sim.schedule_at_for(v, 0.5, [&ran] {
+      // Slow enough that a run_until leaving early would see it unfinished.
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      ran.fetch_add(1);
+    });
+    sim.schedule_at_for(v, 1.5, [&next_window] { next_window = true; });
+  }
+  ASSERT_LT(thrower, n);
+  ASSERT_GT(others, 0u);
+  sim.schedule_at_for(thrower, 0.25, [] { throw std::runtime_error("boom"); });
+
+  EXPECT_THROW(sim.run_until(3.0), std::runtime_error);
+  EXPECT_EQ(ran.load(), others);
+  EXPECT_FALSE(next_window.load());  // nothing past the failed window
+  EXPECT_EQ(sim.current_shard(), ShardedSimulator::kNoShard);
+  EXPECT_DOUBLE_EQ(sim.now(), 0.0);
 }
 
 // A randomized event storm where every actor's behaviour depends only

@@ -25,8 +25,10 @@
 //              --last 10 --append --commit "$GITHUB_SHA"
 //
 // Compares the envelope's total `wall_seconds`, the `peak_rss_bytes`
-// memory footprint (when both reports carry one) and, when both
-// reports carry sweep telemetry, the per-cell seconds. Also diffs every
+// memory footprint (when both reports carry one), when both reports
+// carry sweep telemetry, the per-cell seconds, and, for multi-run
+// reports (scale_single_run), each shard count's wall time and peak
+// RSS. Also diffs every
 // ProtocolHealth rollup found anywhere in the two documents
 // (recognized by its requests_sent/messages_sent counters, keyed by
 // JSON path) and the envelope's `metrics` registry block — advisory by
@@ -280,6 +282,21 @@ double number_or_zero(const Json& doc, const char* key) {
   if (doc.contains(key) && doc.at(key).is_number())
     return doc.at(key).as_double();
   return 0.0;
+}
+
+/// Per-configuration rows of a multi-run report (scale_single_run's
+/// `runs`, one per shard count), keyed by shard count.
+std::map<std::uint64_t, const Json*> runs_by_shards(const Json& doc) {
+  std::map<std::uint64_t, const Json*> out;
+  if (!doc.contains("runs") || !doc.at("runs").is_array()) return out;
+  const Json& runs = doc.at("runs");
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const Json& run = runs.at(i);
+    if (run.is_object() && run.contains("shards") &&
+        run.at("shards").is_number())
+      out.emplace(run.at("shards").as_uint(), &run);
+  }
+  return out;
 }
 
 /// Compact per-commit snapshot of a report for the history ledger.
@@ -577,8 +594,11 @@ int main(int argc, char** argv) {
                                ? candidate.at("wall_seconds").as_double()
                                : 0.0;
   const double wall_change = ratio_change(base_wall, cand_wall);
-  std::cout << base_artefact << ": wall_seconds " << base_wall << " -> "
-            << cand_wall << " (" << percent(wall_change) << ")\n";
+  std::cout << base_artefact << ":";
+  if (baseline.contains("wall_seconds") || candidate.contains("wall_seconds"))
+    std::cout << " wall_seconds " << base_wall << " -> " << cand_wall << " ("
+              << percent(wall_change) << ")";
+  std::cout << "\n";
   if (wall_change > threshold) {
     std::cout << "  REGRESSION: total wall time up more than "
               << percent(threshold) << "\n";
@@ -613,6 +633,28 @@ int main(int argc, char** argv) {
   } else if (base_cells.size() != cand_cells.size()) {
     std::cout << "  (cell telemetry not comparable: " << base_cells.size()
               << " vs " << cand_cells.size() << " cells)\n";
+  }
+
+  // Multi-run reports carry no envelope wall time: diff each shard
+  // count's wall time and peak RSS instead.
+  const auto base_runs = runs_by_shards(baseline);
+  const auto cand_runs = runs_by_shards(candidate);
+  for (const auto& [shards, base_run] : base_runs) {
+    const auto it = cand_runs.find(shards);
+    if (it == cand_runs.end()) continue;
+    for (const char* field : {"wall_seconds", "peak_rss_bytes"}) {
+      const double b = number_or_zero(*base_run, field);
+      const double c = number_or_zero(*it->second, field);
+      if (b <= 0.0 || c <= 0.0) continue;
+      const double change = ratio_change(b, c);
+      std::cout << "  K=" << shards << " " << field << " " << b << " -> " << c
+                << " (" << percent(change) << ")\n";
+      if (change > threshold) {
+        std::cout << "  REGRESSION: K=" << shards << " " << field
+                  << " up more than " << percent(threshold) << "\n";
+        regression = true;
+      }
+    }
   }
 
   // Health rollups anywhere in the documents, matched by JSON path.
