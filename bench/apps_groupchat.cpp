@@ -11,7 +11,6 @@
 #include "apps/groupchat.hpp"
 #include "bench_common.hpp"
 #include "experiments/scenario.hpp"
-#include "sim/simulator.hpp"
 
 int main(int argc, char** argv) {
   using namespace ppo;
@@ -28,12 +27,13 @@ int main(int argc, char** argv) {
                    "replication@+150sp", "msgs/post/member",
                    "anti-entropy exchanges"});
   for (const double alpha : {0.25, 0.5, 0.75}) {
-    sim::Simulator sim;
     experiments::ChurnSpec churn;
     churn.alpha = alpha;
     const auto model = churn.make();
-    overlay::OverlayService service(sim, trust, *model, {},
-                                    Rng(7 ^ static_cast<std::uint64_t>(alpha * 512)));
+    sim::ShardedSimulator sim(
+        overlay::simulator_options({}, trust.num_nodes()));
+    overlay::ShardedOverlayService service(
+        sim, trust, *model, {}, 7 ^ static_cast<std::uint64_t>(alpha * 512));
     apps::GroupChat chat(sim, service, {}, Rng(11));
     service.start();
     chat.start();

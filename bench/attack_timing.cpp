@@ -15,8 +15,7 @@
 
 #include "bench_common.hpp"
 #include "churn/churn_model.hpp"
-#include "overlay/service.hpp"
-#include "sim/simulator.hpp"
+#include "overlay/sharded_service.hpp"
 
 int main(int argc, char** argv) {
   using namespace ppo;
@@ -33,9 +32,9 @@ int main(int argc, char** argv) {
   const double window = cli.get_double("window", 2.0);
 
   // Full availability: the attack's best case (no churn noise).
-  sim::Simulator sim;
   const auto model = churn::ExponentialChurn::from_availability(1.0, 30.0);
-  overlay::OverlayService service(sim, trust, model, {}, Rng(7));
+  sim::ShardedSimulator sim(overlay::simulator_options({}, trust.num_nodes()));
+  overlay::ShardedOverlayService service(sim, trust, model, {}, 7);
   service.start();
   sim.run_until(100.0);  // converged overlay
 

@@ -6,7 +6,8 @@
 // without editing commands.
 //
 // Parallelism: `--jobs N` sets the sweep worker count (default 0 =
-// hardware concurrency); results are bit-identical for any N. Add
+// hardware concurrency) and `--shards K` (default 1) the shard threads
+// of every overlay run; results are bit-identical for any N and K. Add
 // `--progress` for per-cell completion/ETA lines on stderr.
 #pragma once
 
@@ -81,9 +82,9 @@ inline experiments::FigureScale figure_scale(const Cli& cli) {
   scale.window.apl_sources =
       static_cast<std::size_t>(cli.get_int("apl-sources", 48));
   scale.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
-  scale.jobs = static_cast<std::size_t>(cli.get_int("jobs", 0));
+  scale.jobs = cli.get_size("jobs", 0);
   scale.progress = cli.get_bool("progress", false);
-  scale.shards = static_cast<std::size_t>(cli.get_int("shards", 0));
+  scale.shards = cli.get_size("shards", 1, /*min=*/1);
   scale.replicas = static_cast<std::size_t>(cli.get_int("replicas", 1));
   scale.warm_start_dir = cli.get_string("warm-start-dir", "");
   if (cli.has("alphas")) {

@@ -19,8 +19,7 @@
 #include "common/stats.hpp"
 #include "dissemination/broadcast.hpp"
 #include "experiments/scenario.hpp"
-#include "overlay/service.hpp"
-#include "sim/simulator.hpp"
+#include "overlay/sharded_service.hpp"
 
 namespace {
 
@@ -98,19 +97,17 @@ int main(int argc, char** argv) {
       alphas, sweep, [&](double alpha, const runner::CellInfo&) {
         // One overlay run provides the graph + churn mask for both
         // protocols; the trust graph is measured under the same mask.
-        // The seeds predate the run_grid port (scale.seed xor a
-        // per-alpha constant) so output matches the serial bench.
         experiments::OverlayScenario scenario;
         scenario.churn.alpha = alpha;
         scenario.window = scale.window;
         scenario.seed = scale.seed ^ static_cast<std::uint64_t>(alpha * 512);
 
-        sim::Simulator simulator;
         const auto model = scenario.churn.make();
-        overlay::OverlayService service(
-            simulator, trust,
-            *model, {.params = scenario.params, .transport = {}},
-            Rng(scenario.seed));
+        const overlay::OverlayServiceOptions options{.params = scenario.params};
+        sim::ShardedSimulator simulator(
+            overlay::simulator_options(options, trust.num_nodes()));
+        overlay::ShardedOverlayService service(simulator, trust, *model,
+                                               options, scenario.seed);
         service.start();
         simulator.run_until(scenario.window.warmup);
         graph::Graph overlay_graph = service.overlay_snapshot();

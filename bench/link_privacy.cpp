@@ -71,13 +71,8 @@ int main(int argc, char** argv) {
       cli.get_double("link-window", spec.attack_options.link_window);
   spec.attack_options.timing_bucket =
       cli.get_double("timing-bucket", spec.attack_options.timing_bucket);
-  if (cli.has("kinv-shards")) {
-    spec.kinvariance_shards.clear();
-    for (const double k :
-         bench::parse_double_list(cli.get_string("kinv-shards", "")))
-      if (k >= 1.0) spec.kinvariance_shards.push_back(
-          static_cast<std::size_t>(k));
-  }
+  if (cli.has("kinv-shards"))
+    spec.kinvariance_shards = cli.get_size_list("kinv-shards", "", 1);
 
   bench::TraceSession trace(cli);
   trace.warn_if_parallel(scale.jobs == 0 ? runner::default_jobs()

@@ -11,8 +11,7 @@
 #include "churn/churn_model.hpp"
 #include "graph/components.hpp"
 #include "graph/generators.hpp"
-#include "overlay/service.hpp"
-#include "sim/simulator.hpp"
+#include "overlay/sharded_service.hpp"
 
 int main(int argc, char** argv) {
   using namespace ppo;
@@ -42,8 +41,8 @@ int main(int argc, char** argv) {
     options.mix.num_relays = 12;
     options.mix_transport.circuit_hops = 3;
 
-    sim::Simulator sim;
-    overlay::OverlayService service(sim, trust, model, options, Rng(9));
+    sim::ShardedSimulator sim(overlay::simulator_options(options, nodes));
+    overlay::ShardedOverlayService service(sim, trust, model, options, 9);
     service.start();
     const auto t0 = std::chrono::steady_clock::now();
     sim.run_until(horizon);

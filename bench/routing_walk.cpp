@@ -21,9 +21,8 @@
 #include "bench_common.hpp"
 #include "churn/churn_model.hpp"
 #include "common/stats.hpp"
-#include "overlay/service.hpp"
+#include "overlay/sharded_service.hpp"
 #include "routing/random_walk.hpp"
-#include "sim/simulator.hpp"
 
 int main(int argc, char** argv) {
   using namespace ppo;
@@ -67,11 +66,12 @@ int main(int argc, char** argv) {
   const bench::WallTimer timer;
   auto grid = runner::run_grid(
       replicas, opt, [&](const runner::CellInfo& cell) {
-        sim::Simulator sim;
         const auto model =
             churn::ExponentialChurn::from_availability(0.75, 30.0);
-        overlay::OverlayService service(sim, trust, model, {},
-                                        Rng(derive_seed(cell.seed, 7)));
+        sim::ShardedSimulator sim(
+            overlay::simulator_options({}, trust.num_nodes()));
+        overlay::ShardedOverlayService service(sim, trust, model, {},
+                                               derive_seed(cell.seed, 7));
         service.start();
         sim.run_until(warmup);
 

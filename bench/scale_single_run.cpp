@@ -4,10 +4,9 @@
 // / bytes-per-edge breakdowns, and the run's Figure 3 connectivity
 // point (fraction of online nodes outside the overlay's largest
 // component at the horizon). The fingerprint must agree across every
-// K >= 1 in --shard-list — that is the sharded core's determinism
-// contract — so this bench doubles as a large-scale bit-identity
-// check. K = 0 selects the legacy serial backend (its fingerprint
-// legitimately differs; see DESIGN.md).
+// K in --shard-list (each an integer >= 1) — that is the sharded
+// core's determinism contract — so this bench doubles as a
+// large-scale bit-identity check.
 //
 // Speedup is hardware-dependent: on a single-core runner every K
 // costs about the same wall time and the numbers say so honestly.
@@ -33,10 +32,8 @@
 #include "churn/churn_model.hpp"
 #include "graph/generators.hpp"
 #include "metrics/streaming_connectivity.hpp"
-#include "overlay/service.hpp"
 #include "overlay/sharded_service.hpp"
 #include "sim/sharded_simulator.hpp"
-#include "sim/simulator.hpp"
 #include "telemetry/service_mode.hpp"
 
 namespace {
@@ -49,7 +46,7 @@ using namespace ppo;
 // way.
 
 struct RunReport {
-  std::size_t shards = 0;  // 0 = serial backend
+  std::size_t shards = 1;
   double wall_seconds = 0.0;
   std::uint64_t events = 0;
   std::uint64_t fingerprint = 0;
@@ -69,15 +66,13 @@ struct RunReport {
   metrics::ProtocolHealth health;
   std::vector<sim::ShardedSimulator::ShardStats> shard_stats;
 
-  /// Worker threads the run actually used (the serial backend is one
-  /// core); denominator of the per-core throughput below.
-  std::size_t cores() const { return shards == 0 ? 1 : shards; }
   double events_per_second() const {
     return wall_seconds > 0.0 ? static_cast<double>(events) / wall_seconds
                               : 0.0;
   }
+  /// Per thread: K shards run on K threads.
   double events_per_second_per_core() const {
-    return events_per_second() / static_cast<double>(cores());
+    return events_per_second() / static_cast<double>(shards);
   }
 };
 
@@ -118,13 +113,6 @@ obs::MetricsRegistry run_metrics(const RunReport& report, bool profiled) {
   return registry;
 }
 
-std::vector<std::size_t> parse_shard_list(const std::string& text) {
-  std::vector<std::size_t> out;
-  for (const double v : bench::parse_double_list(text))
-    out.push_back(static_cast<std::size_t>(v));
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -137,7 +125,7 @@ int main(int argc, char** argv) {
   const double horizon = cli.get_double("horizon", 20.0);
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
   const auto shard_list =
-      parse_shard_list(cli.get_string("shard-list", "1,2,4,8"));
+      cli.get_size_list("shard-list", "1,2,4,8", /*min=*/1);
   if (shard_list.empty()) {
     std::cerr << "--shard-list needs at least one entry\n";
     return 2;
@@ -178,47 +166,35 @@ int main(int argc, char** argv) {
     // fingerprints are bit-identical with --trace on or off.
     bench::TraceSession trace(cli);
     const bench::WallTimer timer;
-    // Shared post-run measurement: canonical edge list (no snapshot
-    // Graph), fingerprint, Figure 3 connectivity point, memory.
-    metrics::StreamingConnectivity connectivity;
-    const auto finish_run = [&](auto& service) {
-      report.health = service.protocol_health();
-      report.online = service.online_count();
-      const auto edges = service.overlay_edges();
-      report.overlay_edges = edges.size();
-      report.fingerprint = telemetry::trajectory_fingerprint(edges, report.health);
-      report.fraction_disconnected = connectivity.fraction_disconnected(
-          nodes, edges, service.online_mask());
-      report.node_state_bytes = service.node_state_bytes();
-      report.peak_rss_bytes = bench::peak_rss_bytes();
-    };
-    if (shards == 0) {
-      sim::Simulator sim;
-      overlay::OverlayService service(sim, trust, model, options, Rng(seed));
-      service.start();
-      sim.run_until(horizon);
-      report.events = sim.events_executed();
-      finish_run(service);
-    } else {
-      sim::ShardedSimulator::Options so;
-      so.shards = shards;
-      so.num_actors = nodes;
-      so.lookahead = options.transport.min_latency;
+    {
+      sim::ShardedSimulator::Options so =
+          overlay::simulator_options(options, nodes, shards);
       so.profile = profile;
       sim::ShardedSimulator sim(so);
       overlay::ShardedOverlayService service(sim, trust, model, options, seed);
       service.start();
       sim.run_until(horizon);
       report.events = sim.events_executed();
-      finish_run(service);
       report.shard_stats = sim.shard_stats();
+      // Post-run measurement: canonical edge list (no snapshot Graph),
+      // fingerprint, Figure 3 connectivity point, memory.
+      report.health = service.protocol_health();
+      report.online = service.online_count();
+      const auto edges = service.overlay_edges();
+      report.overlay_edges = edges.size();
+      report.fingerprint =
+          telemetry::trajectory_fingerprint(edges, report.health);
+      metrics::StreamingConnectivity connectivity;
+      report.fraction_disconnected = connectivity.fraction_disconnected(
+          nodes, edges, service.online_mask());
+      report.node_state_bytes = service.node_state_bytes();
+      report.peak_rss_bytes = bench::peak_rss_bytes();
     }
     report.wall_seconds = timer.seconds();
     trace.finish(trace_stem + ".k" + std::to_string(shards));
     reports.push_back(report);
 
-    std::cout << "K=" << report.shards
-              << (report.shards == 0 ? " (serial)" : "") << ": "
+    std::cout << "K=" << report.shards << ": "
               << report.wall_seconds << " s, " << report.events
               << " events (" << report.events_per_second() << " events/s, "
               << report.events_per_second_per_core()
@@ -256,24 +232,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Bit-identity across every sharded K (the serial backend is a
-  // different, equally valid trajectory).
+  // Bit-identity across every K.
   bool identical = true;
-  std::uint64_t sharded_fp = 0;
-  bool have_fp = false;
-  for (const RunReport& r : reports) {
-    if (r.shards == 0) continue;
-    if (!have_fp) {
-      sharded_fp = r.fingerprint;
-      have_fp = true;
-    } else if (r.fingerprint != sharded_fp) {
-      identical = false;
-    }
-  }
-  if (have_fp)
-    std::cout << "\nsharded trajectories "
-              << (identical ? "IDENTICAL across all K\n"
-                            : "DIVERGE — determinism bug!\n");
+  for (const RunReport& r : reports)
+    identical = identical && r.fingerprint == reports.front().fingerprint;
+  std::cout << "\nsharded trajectories "
+            << (identical ? "IDENTICAL across all K\n"
+                          : "DIVERGE — determinism bug!\n");
 
   if (cli.has("json")) {
     const std::string path = cli.get_string("json", "");

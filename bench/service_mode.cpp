@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   opt.nodes = static_cast<std::size_t>(cli.get_int("nodes", 5000));
   opt.alpha = cli.get_double("alpha", 0.5);
   opt.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
-  opt.shards = static_cast<std::size_t>(cli.get_int("shards", 4));
+  opt.shards = cli.get_size("shards", 4, /*min=*/1);
   opt.horizon = cli.get_double("horizon", 0.0);
   opt.wall_limit_seconds = cli.get_double("wall-limit", 0.0);
   opt.slice = cli.get_double("slice", 1.0);
@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(cli.get_int("shuffle-length", 10));
   opt.target_links =
       static_cast<std::size_t>(cli.get_int("target-links", 20));
-  opt.profile = cli.get_bool("profile", opt.shards > 0);
+  opt.profile = cli.get_bool("profile", true);
   opt.port = static_cast<int>(cli.get_int("telemetry-port", -1));
   opt.telemetry_out = cli.get_string("telemetry-out", "");
   opt.sample_interval_seconds = cli.get_double("sample-interval", 1.0);
@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
   std::cout << "==============================================================\n"
             << "service_mode — sustained overlay workload with live telemetry\n"
             << opt.nodes << " nodes, alpha " << opt.alpha << ", K="
-            << opt.shards << (opt.shards == 0 ? " (serial)" : "") << ", seed "
+            << opt.shards << ", seed "
             << opt.seed << "\n";
   if (opt.horizon > 0.0)
     std::cout << "horizon " << opt.horizon << " periods";
@@ -126,7 +126,6 @@ int main(int argc, char** argv) {
                       : " -> " + opt.telemetry_out)
               << "\n";
 
-  const std::size_t cores = opt.shards == 0 ? 1 : opt.shards;
   const double eps = report.wall_seconds > 0.0
                          ? static_cast<double>(report.events) /
                                report.wall_seconds
@@ -138,7 +137,7 @@ int main(int argc, char** argv) {
             << "), "
             << report.wall_seconds << " s wall\n"
             << report.events << " events, " << eps << " events/s, "
-            << eps / static_cast<double>(cores) << " events/s/core\n"
+            << eps / static_cast<double>(opt.shards) << " events/s/core\n"
             << "fingerprint " << std::hex << report.fingerprint << std::dec
             << "\noverlay: " << report.overlay_edges << " edges, "
             << report.online << " online, fraction_disconnected "
@@ -180,7 +179,7 @@ int main(int argc, char** argv) {
     doc["wall_seconds"] = report.wall_seconds;
     doc["events"] = report.events;
     doc["events_per_second"] = eps;
-    doc["events_per_second_per_core"] = eps / static_cast<double>(cores);
+    doc["events_per_second_per_core"] = eps / static_cast<double>(opt.shards);
     doc["fingerprint"] = report.fingerprint;
     doc["online"] = static_cast<std::uint64_t>(report.online);
     doc["overlay_edges"] = static_cast<std::uint64_t>(report.overlay_edges);

@@ -14,8 +14,7 @@
 #include "dissemination/broadcast.hpp"
 #include "graph/sampling.hpp"
 #include "graph/socialgen.hpp"
-#include "overlay/service.hpp"
-#include "sim/simulator.hpp"
+#include "overlay/sharded_service.hpp"
 
 int main(int argc, char** argv) {
   using namespace ppo;
@@ -37,8 +36,8 @@ int main(int argc, char** argv) {
             << "\n\n";
 
   const auto churn = churn::ExponentialChurn::from_availability(alpha, 30.0);
-  sim::Simulator sim;
-  overlay::OverlayService service(sim, trust, churn, {}, rng.split());
+  sim::ShardedSimulator sim(overlay::simulator_options({}, trust.num_nodes()));
+  overlay::ShardedOverlayService service(sim, trust, churn, {}, rng.next_u64());
   service.start();
   sim.run_until(300.0);  // let the overlay converge
 

@@ -10,7 +10,6 @@
 #include "common/cli.hpp"
 #include "graph/sampling.hpp"
 #include "graph/socialgen.hpp"
-#include "sim/simulator.hpp"
 
 int main(int argc, char** argv) {
   using namespace ppo;
@@ -25,9 +24,9 @@ int main(int argc, char** argv) {
   const graph::Graph trust = graph::invitation_sample(
       base, {.target_size = members, .f = 0.5}, rng);
 
-  sim::Simulator sim;
   const auto churn = churn::ExponentialChurn::from_availability(alpha, 30.0);
-  overlay::OverlayService service(sim, trust, churn, {}, rng.split());
+  sim::ShardedSimulator sim(overlay::simulator_options({}, trust.num_nodes()));
+  overlay::ShardedOverlayService service(sim, trust, churn, {}, rng.next_u64());
   apps::GroupChat chat(sim, service, {}, rng.split());
   service.start();
   chat.start();

@@ -13,8 +13,7 @@
 #include "graph/io.hpp"
 #include "graph/sampling.hpp"
 #include "graph/socialgen.hpp"
-#include "overlay/service.hpp"
-#include "sim/simulator.hpp"
+#include "overlay/sharded_service.hpp"
 
 int main(int argc, char** argv) {
   using namespace ppo;
@@ -35,9 +34,10 @@ int main(int argc, char** argv) {
   options.params.cache_size = 80;
   options.params.shuffle_length = 10;
 
-  sim::Simulator sim;
   const auto churn = churn::ExponentialChurn::from_availability(alpha, 30.0);
-  overlay::OverlayService service(sim, trust, churn, options, rng.split());
+  sim::ShardedSimulator sim(overlay::simulator_options(options, trust.num_nodes()));
+  overlay::ShardedOverlayService service(sim, trust, churn, options,
+                                         rng.next_u64());
   service.start();
   sim.run_until(150.0);
 

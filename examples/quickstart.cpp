@@ -12,8 +12,7 @@
 #include "graph/paths.hpp"
 #include "graph/sampling.hpp"
 #include "graph/socialgen.hpp"
-#include "overlay/service.hpp"
-#include "sim/simulator.hpp"
+#include "overlay/sharded_service.hpp"
 
 int main(int argc, char** argv) {
   using namespace ppo;
@@ -38,9 +37,11 @@ int main(int argc, char** argv) {
   const auto churn = churn::ExponentialChurn::from_availability(alpha, 30.0);
 
   // 3. The overlay-maintenance service (Table I defaults: 50-link
-  //    target, 400-entry cache, l = 40, pseudonym lifetime 3 x Toff).
-  sim::Simulator sim;
-  overlay::OverlayService service(sim, trust, churn, {}, rng.split());
+  //    target, 400-entry cache, l = 40, pseudonym lifetime 3 x Toff) on
+  //    a one-shard simulator (pass a shard count K > 1 to
+  //    simulator_options for K threads; the run is the same for every K).
+  sim::ShardedSimulator sim(overlay::simulator_options({}, trust.num_nodes()));
+  overlay::ShardedOverlayService service(sim, trust, churn, {}, rng.next_u64());
   service.start();
   sim.run_until(periods);
 

@@ -1,6 +1,6 @@
 // Runtime behaviour of the Byzantine roles in an AdversaryPlan. The
-// engine sits at the *service* send seam (OverlayService /
-// ShardedOverlayService), keeping OverlayNode protocol-pure: just
+// engine sits at the *service* send seam (ShardedOverlayService),
+// keeping OverlayNode protocol-pure: just
 // before a shuffle request/response leaves an attacker, the service
 // asks the engine to rewrite (pollute / replay / eclipse) or suppress
 // (defect) the outgoing set, and feeds delivered sets back in so

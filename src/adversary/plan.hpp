@@ -2,8 +2,8 @@
 // AdversaryPlan is pure seeded data: it names the fraction of overlay
 // nodes playing each attacker role plus the behavioural knobs, and
 // materialize_roles() expands it into a concrete role assignment as a
-// pure function of (plan, num_nodes) — identical on the serial and
-// sharded backends and for every shard count K, mirroring how
+// pure function of (plan, num_nodes) — identical for every shard
+// count K, mirroring how
 // fault::materialize_node_crashes expands crash bursts.
 //
 // Roles (all internal/colluding attackers in the §III-E sense):

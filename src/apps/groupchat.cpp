@@ -6,7 +6,8 @@
 
 namespace ppo::apps {
 
-GroupChat::GroupChat(sim::Simulator& sim, overlay::OverlayService& overlay,
+GroupChat::GroupChat(sim::ShardedSimulator& sim,
+                     overlay::ShardedOverlayService& overlay,
                      GroupChatOptions options, Rng rng)
     : sim_(sim),
       overlay_(overlay),
@@ -15,7 +16,10 @@ GroupChat::GroupChat(sim::Simulator& sim, overlay::OverlayService& overlay,
       transport_(sim, options.transport, rng_.split(),
                  [this](NodeId v) { return overlay_.is_online(v); }),
       members_(overlay.num_nodes()),
-      next_seq_(overlay.num_nodes(), 0) {}
+      next_seq_(overlay.num_nodes(), 0) {
+  PPO_CHECK_MSG(sim.num_shards() == 1,
+                "group chat shares its post store across members: K = 1 only");
+}
 
 void GroupChat::start() {
   PPO_CHECK_MSG(!started_, "group chat already started");
@@ -26,28 +30,12 @@ void GroupChat::start() {
         rng_.uniform_double(0.0, options_.anti_entropy_period);
     timers_.push_back(sim::PeriodicTask::start(
         sim_, phase, options_.anti_entropy_period,
-        [this, v] { anti_entropy_tick(v); }));
-  }
-}
-
-void GroupChat::sync_membership() {
-  while (members_.size() < overlay_.num_nodes()) {
-    const auto v = static_cast<NodeId>(members_.size());
-    members_.emplace_back();
-    next_seq_.push_back(0);
-    if (started_) {
-      const double phase =
-          rng_.uniform_double(0.0, options_.anti_entropy_period);
-      timers_.push_back(sim::PeriodicTask::start(
-          sim_, phase, options_.anti_entropy_period,
-          [this, v] { anti_entropy_tick(v); }));
-    }
+        [this, v] { anti_entropy_tick(v); }, v));
   }
 }
 
 std::pair<NodeId, std::uint32_t> GroupChat::publish(NodeId author,
                                                     std::string text) {
-  sync_membership();
   PPO_CHECK_MSG(author < members_.size(), "author out of range");
   PPO_CHECK_MSG(overlay_.is_online(author), "author must be online");
   Post post;
@@ -69,7 +57,6 @@ bool GroupChat::store(NodeId node, const Post& post) {
 }
 
 void GroupChat::deliver(NodeId node, const Post& post) {
-  sync_membership();
   if (!store(node, post)) return;  // duplicate
   delivery_latency_.add(sim_.now() - post.published);
   eager_push(node, post);
@@ -83,7 +70,6 @@ void GroupChat::eager_push(NodeId from, const Post& post) {
 }
 
 void GroupChat::anti_entropy_tick(NodeId node) {
-  sync_membership();
   if (!overlay_.is_online(node)) return;
   const auto peers = overlay_.current_peers(node);
   if (peers.empty()) return;
@@ -109,11 +95,7 @@ void GroupChat::serve_missing(
   // first-receipt latency is tracked individually).
   std::vector<Post> missing;
   for (const auto& [author, log] : members_[server].by_author) {
-    // A requester with an older membership view has no watermark for
-    // recently-joined authors: everything by them is missing.
-    const std::uint32_t watermark =
-        author < requester_watermarks.size() ? requester_watermarks[author]
-                                             : 0;
+    const std::uint32_t watermark = requester_watermarks[author];
     for (auto it = log.posts.upper_bound(watermark); it != log.posts.end();
          ++it)
       missing.push_back(it->second);
@@ -126,7 +108,6 @@ void GroupChat::serve_missing(
 }
 
 std::size_t GroupChat::posts_held(NodeId node) const {
-  const_cast<GroupChat*>(this)->sync_membership();
   PPO_CHECK_MSG(node < members_.size(), "node out of range");
   return members_[node].total;
 }

@@ -14,6 +14,10 @@
 // application's concern and orthogonal to the mechanics simulated
 // here; node identities appearing in this sim-level API are
 // bookkeeping — on the wire a node only ever addresses its links.
+//
+// Runs at K = 1 only: the post store, the RNG and the latency stats
+// are shared across members, so the simulator must have one shard.
+// Each member's anti-entropy timer is scheduled for that member.
 #pragma once
 
 #include <cstdint>
@@ -23,9 +27,9 @@
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "overlay/service.hpp"
+#include "overlay/sharded_service.hpp"
 #include "privacylink/transport.hpp"
-#include "sim/simulator.hpp"
+#include "sim/sharded_simulator.hpp"
 
 namespace ppo::apps {
 
@@ -48,7 +52,9 @@ struct Post {
 
 class GroupChat {
  public:
-  GroupChat(sim::Simulator& sim, overlay::OverlayService& overlay,
+  /// `sim` must have exactly one shard (see the header comment).
+  GroupChat(sim::ShardedSimulator& sim,
+            overlay::ShardedOverlayService& overlay,
             GroupChatOptions options, Rng rng);
 
   /// Starts the per-node anti-entropy timers.
@@ -85,11 +91,6 @@ class GroupChat {
     std::size_t total = 0;
   };
 
-  /// Grows the per-member state when the overlay gained members
-  /// (dynamic membership): new members get state and an anti-entropy
-  /// timer of their own.
-  void sync_membership();
-
   bool store(NodeId node, const Post& post);
   void eager_push(NodeId from, const Post& post);
   void deliver(NodeId node, const Post& post);
@@ -99,8 +100,8 @@ class GroupChat {
   void serve_missing(NodeId server, NodeId requester,
                      const std::vector<std::uint32_t>& requester_watermarks);
 
-  sim::Simulator& sim_;
-  overlay::OverlayService& overlay_;
+  sim::ShardedSimulator& sim_;
+  overlay::ShardedOverlayService& overlay_;
   GroupChatOptions options_;
   Rng rng_;
   privacylink::Transport transport_;

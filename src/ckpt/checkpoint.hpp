@@ -26,7 +26,9 @@
 namespace ppo::ckpt {
 
 inline constexpr std::uint32_t kMagic = 0x434F5050u;  // "PPOC"
-inline constexpr std::uint32_t kVersion = 1;
+/// Version 2: the single-backend payload (no serial service state, no
+/// pseudonym-availability bit). Version-1 files load as kBadVersion.
+inline constexpr std::uint32_t kVersion = 2;
 
 enum class Status {
   kOk,
@@ -42,13 +44,13 @@ enum class Status {
 
 const char* status_name(Status s);
 
-/// Backend the snapshot was taken on. Serial and sharded checkpoints
-/// are not interchangeable (different sequencing schemes); sharded
-/// checkpoints restore at any shard count.
-enum class BackendKind : std::uint8_t { kSerial = 0, kSharded = 1 };
+/// Backend the snapshot was taken on. There is one: the sharded core,
+/// whose checkpoints restore at any shard count. Any other value in a
+/// header is rejected as kUnsupported.
+enum class BackendKind : std::uint8_t { kSharded = 1 };
 
 struct Header {
-  BackendKind backend = BackendKind::kSerial;
+  BackendKind backend = BackendKind::kSharded;
   std::uint32_t shards_hint = 0;        // K at save time (informational)
   std::uint64_t graph_fingerprint = 0;  // fingerprint_graph() of the trust graph
   std::uint64_t config_hash = 0;        // caller-defined workload identity

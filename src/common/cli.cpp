@@ -82,6 +82,50 @@ double Cli::get_double(const std::string& name, double fallback) const {
   return fallback;
 }
 
+namespace {
+
+/// Parses one count token of flag `name`, or throws naming the flag.
+std::size_t parse_size(const std::string& name, const std::string& token,
+                       std::size_t min) {
+  std::size_t used = 0;
+  long long value = -1;
+  try {
+    value = std::stoll(token, &used);
+  } catch (const std::exception&) {
+    used = 0;
+  }
+  PPO_CHECK_MSG(used > 0 && used == token.size() && value >= 0 &&
+                    static_cast<unsigned long long>(value) >= min,
+                "flag --" + name + " expects an integer >= " +
+                    std::to_string(min) + ", got '" + token + "'");
+  return static_cast<std::size_t>(value);
+}
+
+}  // namespace
+
+std::size_t Cli::get_size(const std::string& name, std::size_t fallback,
+                          std::size_t min) const {
+  bool found = false;
+  const std::string v = raw(name, found);
+  return found ? parse_size(name, v, min) : fallback;
+}
+
+std::vector<std::size_t> Cli::get_size_list(const std::string& name,
+                                            const std::string& fallback,
+                                            std::size_t min) const {
+  const std::string text = get_string(name, fallback);
+  std::vector<std::size_t> out;
+  std::size_t begin = 0;
+  while (begin <= text.size()) {
+    std::size_t end = text.find(',', begin);
+    if (end == std::string::npos) end = text.size();
+    const std::string token = text.substr(begin, end - begin);
+    if (!token.empty()) out.push_back(parse_size(name, token, min));
+    begin = end + 1;
+  }
+  return out;
+}
+
 bool Cli::get_bool(const std::string& name, bool fallback) const {
   bool found = false;
   const std::string v = raw(name, found);

@@ -7,6 +7,7 @@
 // to scale runs without editing commands.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -26,6 +27,19 @@ class Cli {
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;
+
+  /// A count (thread, shard or node number): an integer >= `min`.
+  /// Throws CheckError naming the flag on anything else — a negative
+  /// value, a fraction or trailing junk — so a bad value is refused
+  /// before it sizes a thread pool or a simulator.
+  std::size_t get_size(const std::string& name, std::size_t fallback,
+                       std::size_t min = 0) const;
+
+  /// Comma-separated list of counts, each checked like get_size, e.g.
+  /// --shard-list=1,2,4. Empty entries are skipped.
+  std::vector<std::size_t> get_size_list(const std::string& name,
+                                         const std::string& fallback,
+                                         std::size_t min = 0) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
 

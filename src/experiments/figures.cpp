@@ -379,7 +379,7 @@ FaultFigure fault_tolerance_sweep(Workbench& bench, const FigureScale& scale,
           fault::FaultPlan plan;
           plan.drop_probability = spec.loss_rates[k];
           plan.seed = base.seed ^ (0xFA0000 + k);
-          plan.per_link_streams = base.shards > 0;
+          plan.per_link_streams = true;
           lossy.faults = plan;
           lossy.params.shuffle_timeout = spec.shuffle_timeout;
           lossy.params.shuffle_retry_backoff = spec.retry_backoff;

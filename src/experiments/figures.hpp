@@ -28,10 +28,9 @@ struct FigureScale {
   std::size_t jobs = 0;
   /// Report per-cell completion/ETA lines to stderr.
   bool progress = false;
-  /// Simulation backend for every overlay run inside a cell: 0 = the
-  /// legacy serial Simulator, K >= 1 = the sharded core with K shard
-  /// workers (see OverlayScenario::shards for the contract).
-  std::size_t shards = 0;
+  /// Shard count K >= 1 for every overlay run inside a cell (see
+  /// OverlayScenario::shards; figures are bit-identical for every K).
+  std::size_t shards = 1;
   /// Independent repetitions per sweep cell (distinct seeds). With
   /// R > 1 the sweep figures report the mean over replicas plus a 95%
   /// confidence half-width per point; R = 1 reproduces the historical

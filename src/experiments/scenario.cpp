@@ -10,13 +10,13 @@
 #include "churn/churn_driver.hpp"
 #include "ckpt/checkpoint.hpp"
 #include "common/check.hpp"
+#include "fault/fault_injector.hpp"
 #include "fault/fault_stream.hpp"
 #include "graph/components.hpp"
 #include "graph/csr.hpp"
 #include "graph/degree.hpp"
 #include "graph/generators.hpp"
 #include "metrics/streaming_connectivity.hpp"
-#include "overlay/service.hpp"
 #include "overlay/sharded_service.hpp"
 #include "sim/sharded_simulator.hpp"
 #include "sim/simulator.hpp"
@@ -47,86 +47,43 @@ void accumulate(SnapshotStats& stats, const metrics::GraphMetrics& m,
   stats.total_edges.add(static_cast<double>(total_edges));
 }
 
-/// Node-crash bursts materialized from the scenario's fault plan (the
-/// same victims on every backend — the stream is seed-derived).
-std::vector<fault::NodeCrashEvent> crash_events(
-    const OverlayScenario& scenario, std::size_t n) {
-  if (!scenario.faults || !scenario.faults->has_node_crashes()) return {};
-  return fault::materialize_node_crashes(*scenario.faults, n);
-}
-
-/// Wires a service's churn driver into the injector's node-crash
-/// hooks.
-template <typename Service>
-void wire_node_crash_hooks(fault::FaultInjector::Hooks& hooks,
-                           Service& service) {
+/// Installs the scenario's service-level faults: pseudonym blackouts
+/// become data windows the service's resolve() consults, and
+/// node-crash bursts from the fault plan (the same victims for every
+/// K — the stream is seed-derived) are scheduled per victim. Returns
+/// the armed injector, or nullptr when there is no crash to schedule.
+std::unique_ptr<fault::FaultInjector> arm_service_faults(
+    sim::ShardedSimulator& sim, overlay::ShardedOverlayService& service,
+    const OverlayScenario& scenario) {
+  service.set_pseudonym_blackout_windows(
+      scenario.service_faults.pseudonym_blackouts);
+  if (!scenario.faults || !scenario.faults->has_node_crashes()) return nullptr;
+  fault::FaultInjector::Hooks hooks;
   hooks.fail_node = [&service](graph::NodeId v) {
     service.churn_driver().fail_permanently(v);
   };
   hooks.revive_node = [&service](graph::NodeId v) {
     service.churn_driver().revive(v);
   };
-}
-
-/// Builds and arms the fault injector for the serial backend:
-/// service-level outages plus node-crash bursts from the plan.
-/// Returns nullptr when there is nothing to schedule.
-std::unique_ptr<fault::FaultInjector> arm_service_faults(
-    sim::Simulator& sim, overlay::OverlayService& service,
-    const OverlayScenario& scenario) {
-  std::vector<fault::NodeCrashEvent> crashes =
-      crash_events(scenario, service.num_nodes());
-  if (scenario.service_faults.empty() && crashes.empty()) return nullptr;
-  fault::FaultInjector::Hooks hooks;
-  hooks.set_pseudonym_service_available = [&service](bool available) {
-    service.set_pseudonym_service_available(available);
-  };
-  hooks.mix = service.mutable_mix_network();
-  if (!crashes.empty()) wire_node_crash_hooks(hooks, service);
   auto injector = std::make_unique<fault::FaultInjector>(
-      sim, scenario.service_faults, std::move(hooks), std::move(crashes));
+      sim, std::move(hooks),
+      fault::materialize_node_crashes(*scenario.faults, service.num_nodes()));
   injector->arm();
   return injector;
 }
 
-/// Sharded counterpart: per-victim node crashes are schedulable
-/// events; pseudonym blackouts are installed as data windows the
-/// service's resolve() consults (no owning actor needed). Relay
-/// crashes stay serial-only here — the scenario layer has no mix
-/// mode.
-std::unique_ptr<fault::FaultInjector> arm_sharded_faults(
-    sim::ShardedSimulator& sim, overlay::ShardedOverlayService& service,
+overlay::OverlayServiceOptions service_options(
     const OverlayScenario& scenario) {
-  PPO_CHECK_MSG(scenario.service_faults.relay_crashes.empty(),
-                "relay-crash schedules are serial-backend only");
-  service.set_pseudonym_blackout_windows(
-      scenario.service_faults.pseudonym_blackouts);
-  std::vector<fault::NodeCrashEvent> crashes =
-      crash_events(scenario, service.num_nodes());
-  if (crashes.empty()) return nullptr;
-  fault::FaultInjector::Hooks hooks;
-  wire_node_crash_hooks(hooks, service);
-  auto injector = std::make_unique<fault::FaultInjector>(
-      sim, fault::ServiceFaults{}, std::move(hooks), std::move(crashes));
-  injector->arm();
-  return injector;
+  overlay::OverlayServiceOptions options;
+  options.params = scenario.params;
+  options.link_faults = scenario.faults;
+  options.adversary = scenario.adversary;
+  options.observer = scenario.observer;
+  return options;
 }
 
-sim::ShardedSimulator::Options sharded_options(
-    const OverlayScenario& scenario,
-    const overlay::OverlayServiceOptions& options, std::size_t n) {
-  sim::ShardedSimulator::Options so;
-  so.shards = scenario.shards;
-  so.num_actors = n;
-  so.lookahead = options.use_mix_network ? options.mix.min_hop_latency
-                                         : options.transport.min_latency;
-  return so;
-}
-
-/// The steady-state measurement loop, shared verbatim between the
-/// serial and sharded backends. `run_until(t)` advances the backend's
-/// clock to t; the local `now` bookkeeping reproduces the serial
-/// loop's time sequence bit-exactly.
+/// The steady-state measurement loop. run_until(t) advances the clock
+/// to t; the local `now` bookkeeping keeps the sample times exact.
 ///
 /// Snapshot-free: each sample pulls the service's memoized overlay
 /// edge list and rebuilds one reused CSR scratch graph in place — no
@@ -135,14 +92,14 @@ sim::ShardedSimulator::Options sharded_options(
 /// counting-sort order; measure_graph never probes edge membership,
 /// and every metric it computes is a function of the edge SET alone,
 /// so the values are bit-identical to the snapshot path.
-template <typename Service, typename RunUntilFn>
-OverlayRunResult measure_overlay(Service& service, RunUntilFn run_until,
+OverlayRunResult measure_overlay(sim::ShardedSimulator& sim,
+                                 overlay::ShardedOverlayService& service,
                                  const OverlayScenario& scenario,
                                  std::size_t n) {
   Rng metric_rng(scenario.seed ^ 0xA11CE5);
   OverlayRunResult result;
 
-  run_until(scenario.window.warmup);
+  sim.run_until(scenario.window.warmup);
   double now = scenario.window.warmup;
   const double end = scenario.window.warmup + scenario.window.measure;
   graph::CsrGraph scratch;
@@ -155,7 +112,7 @@ OverlayRunResult measure_overlay(Service& service, RunUntilFn run_until,
     accumulate(result.stats, m, n, scratch.num_edges());
     if (now + scenario.window.sample_every > end + 1e-9) break;
     now += scenario.window.sample_every;
-    run_until(now);
+    sim.run_until(now);
   }
 
   // Final-sample artifacts (scratch still holds the last sample).
@@ -184,16 +141,13 @@ OverlayRunResult measure_overlay(Service& service, RunUntilFn run_until,
   return result;
 }
 
-/// Time-series loop shared between the backends (Figures 8 and 9).
-/// Connectivity tracking streams the memoized overlay edge list
-/// through a union-find instead of snapshotting a Graph and running
-/// the full metric suite: the trace records only
-/// fraction_disconnected, which is a pure function of the edge set,
-/// so the recorded series is bit-identical to the old path. (The old
-/// loop also burned a metric RNG on a path-length estimate it threw
-/// away; dropping it changes no recorded value.)
-template <typename Service, typename RunUntilFn>
-OverlayTrace measure_overlay_trace(Service& service, RunUntilFn run_until,
+/// Time-series loop (Figures 8 and 9). Connectivity tracking streams
+/// the memoized overlay edge list through a union-find instead of
+/// snapshotting a Graph and running the full metric suite: the trace
+/// records only fraction_disconnected, which is a pure function of the
+/// edge set.
+OverlayTrace measure_overlay_trace(sim::ShardedSimulator& sim,
+                                   overlay::ShardedOverlayService& service,
                                    const OverlayTraceSpec& spec,
                                    std::size_t n) {
   OverlayTrace trace;
@@ -203,7 +157,7 @@ OverlayTrace measure_overlay_trace(Service& service, RunUntilFn run_until,
   double last_time = 0.0;
   for (double t = spec.sample_every; t <= spec.horizon + 1e-9;
        t += spec.sample_every) {
-    run_until(t);
+    sim.run_until(t);
     if (spec.track_connectivity) {
       trace.connectivity.record(
           t, connectivity.fraction_disconnected(n, service.overlay_edges(),
@@ -245,7 +199,8 @@ bool warm_start_usable(const OverlayScenario& scenario) {
 
 /// The cell's full identity: every input that shapes the warmup
 /// trajectory. Two scenarios share a cached warmup snapshot iff this
-/// hash (plus the backend kind checked separately) matches.
+/// hash matches (the shard count is not part of it: snapshots restore
+/// at any K).
 std::uint64_t warm_cell_hash(const graph::Graph& trust,
                              const OverlayScenario& scenario) {
   ckpt::Writer w;
@@ -341,11 +296,9 @@ std::uint64_t warm_cell_hash(const graph::Graph& trust,
   return ckpt::fnv1a(w.buffer());
 }
 
-std::string warm_cell_path(const std::string& dir, std::uint64_t hash,
-                           bool sharded) {
+std::string warm_cell_path(const std::string& dir, std::uint64_t hash) {
   char name[40];
-  std::snprintf(name, sizeof name, "warm-%c-%016llx.ppoc",
-                sharded ? 's' : '0',
+  std::snprintf(name, sizeof name, "warm-s-%016llx.ppoc",
                 static_cast<unsigned long long>(hash));
   return dir + "/" + name;
 }
@@ -379,17 +332,13 @@ void tally_warm_phase(bool restored, double seconds) {
 /// payload restore — the service is now indeterminate and the caller
 /// must reconstruct it and call again with `allow_restore = false`.
 /// Fills the result's warm-start accounting on kCold/kRestored.
-template <typename Service, typename RunUntilFn>
-WarmOutcome warm_start_phase(Service& service, RunUntilFn run_until,
+WarmOutcome warm_start_phase(sim::ShardedSimulator& sim,
+                             overlay::ShardedOverlayService& service,
                              const graph::Graph& trust,
                              const OverlayScenario& scenario,
                              bool allow_restore, OverlayRunResult& result) {
-  const bool sharded = scenario.shards > 0;
   const std::uint64_t cell = warm_cell_hash(trust, scenario);
-  const std::string path =
-      warm_cell_path(scenario.warm_start_dir, cell, sharded);
-  const auto backend = sharded ? ckpt::BackendKind::kSharded
-                               : ckpt::BackendKind::kSerial;
+  const std::string path = warm_cell_path(scenario.warm_start_dir, cell);
   const auto wall_start = std::chrono::steady_clock::now();
   const auto elapsed = [&wall_start] {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -401,7 +350,7 @@ WarmOutcome warm_start_phase(Service& service, RunUntilFn run_until,
   if (allow_restore) {
     const ckpt::LoadResult lr = ckpt::load_file(path);
     if (lr.ok() &&
-        ckpt::check_compat(lr.header, backend,
+        ckpt::check_compat(lr.header, ckpt::BackendKind::kSharded,
                            ckpt::fingerprint_graph(trust),
                            cell) == ckpt::Status::kOk) {
       try {
@@ -423,13 +372,12 @@ WarmOutcome warm_start_phase(Service& service, RunUntilFn run_until,
   }
 
   service.start();
-  run_until(scenario.window.warmup);
+  sim.run_until(scenario.window.warmup);
   std::error_code ec;
   std::filesystem::create_directories(scenario.warm_start_dir, ec);
   ckpt::Writer w;
   service.save_checkpoint(w);
   ckpt::Header h;
-  h.backend = backend;
   h.shards_hint = static_cast<std::uint32_t>(scenario.shards);
   h.graph_fingerprint = ckpt::fingerprint_graph(trust);
   h.config_hash = cell;
@@ -465,54 +413,28 @@ void reset_warm_start_stats() {
 OverlayRunResult run_overlay(const graph::Graph& trust,
                              const OverlayScenario& scenario) {
   const auto model = scenario.churn.make();
-  overlay::OverlayServiceOptions options;
-  options.params = scenario.params;
-  options.link_faults = scenario.faults;
-  options.adversary = scenario.adversary;
-  options.observer = scenario.observer;
+  const overlay::OverlayServiceOptions options = service_options(scenario);
   const std::size_t n = trust.num_nodes();
 
   const bool warm = warm_start_usable(scenario);
   OverlayRunResult warm_info;
 
-  if (scenario.shards > 0) {
-    // One reconstruction retry: a snapshot rejected mid-restore leaves
-    // the service indeterminate, so the cold fallback gets a fresh one.
-    for (bool allow_restore : {true, false}) {
-      sim::ShardedSimulator sim(sharded_options(scenario, options, n));
-      overlay::ShardedOverlayService service(sim, trust, *model, options,
-                                             scenario.seed);
-      const auto injector = arm_sharded_faults(sim, service, scenario);
-      const auto run_until = [&sim](double t) { sim.run_until(t); };
-      if (warm) {
-        if (warm_start_phase(service, run_until, trust, scenario,
-                             allow_restore, warm_info) == kRejected)
-          continue;
-      } else {
-        service.start();
-      }
-      auto result = measure_overlay(service, run_until, scenario, n);
-      result.warm_started = warm_info.warm_started;
-      result.warmup_wall_seconds = warm_info.warmup_wall_seconds;
-      return result;
-    }
-    PPO_CHECK_MSG(false, "warm-start retry loop cannot fall through");
-  }
-
+  // One reconstruction retry: a snapshot rejected mid-restore leaves
+  // the service indeterminate, so the cold fallback gets a fresh one.
   for (bool allow_restore : {true, false}) {
-    sim::Simulator sim;
-    overlay::OverlayService service(sim, trust, *model, options,
-                                    Rng(scenario.seed));
+    sim::ShardedSimulator sim(
+        overlay::simulator_options(options, n, scenario.shards));
+    overlay::ShardedOverlayService service(sim, trust, *model, options,
+                                           scenario.seed);
     const auto injector = arm_service_faults(sim, service, scenario);
-    const auto run_until = [&sim](double t) { sim.run_until(t); };
     if (warm) {
-      if (warm_start_phase(service, run_until, trust, scenario,
-                           allow_restore, warm_info) == kRejected)
+      if (warm_start_phase(sim, service, trust, scenario, allow_restore,
+                           warm_info) == kRejected)
         continue;
     } else {
       service.start();
     }
-    auto result = measure_overlay(service, run_until, scenario, n);
+    auto result = measure_overlay(sim, service, scenario, n);
     result.warm_started = warm_info.warm_started;
     result.warmup_wall_seconds = warm_info.warmup_wall_seconds;
     return result;
@@ -551,29 +473,16 @@ OverlayTrace run_overlay_trace(const graph::Graph& trust,
                                OverlayScenario scenario,
                                const OverlayTraceSpec& spec) {
   const auto model = scenario.churn.make();
-  overlay::OverlayServiceOptions options;
-  options.params = scenario.params;
-  options.link_faults = scenario.faults;
-  options.adversary = scenario.adversary;
+  const overlay::OverlayServiceOptions options = service_options(scenario);
   const std::size_t n = trust.num_nodes();
 
-  if (scenario.shards > 0) {
-    sim::ShardedSimulator sim(sharded_options(scenario, options, n));
-    overlay::ShardedOverlayService service(sim, trust, *model, options,
-                                           scenario.seed);
-    const auto injector = arm_sharded_faults(sim, service, scenario);
-    service.start();
-    return measure_overlay_trace(
-        service, [&sim](double t) { sim.run_until(t); }, spec, n);
-  }
-
-  sim::Simulator sim;
-  overlay::OverlayService service(sim, trust, *model, options,
-                                  Rng(scenario.seed));
+  sim::ShardedSimulator sim(
+      overlay::simulator_options(options, n, scenario.shards));
+  overlay::ShardedOverlayService service(sim, trust, *model, options,
+                                         scenario.seed);
   const auto injector = arm_service_faults(sim, service, scenario);
   service.start();
-  return measure_overlay_trace(
-      service, [&sim](double t) { sim.run_until(t); }, spec, n);
+  return measure_overlay_trace(sim, service, spec, n);
 }
 
 metrics::TimeSeries run_static_trace(const graph::Graph& g,

@@ -12,7 +12,6 @@
 #include "churn/churn_model.hpp"
 #include "common/histogram.hpp"
 #include "common/stats.hpp"
-#include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
 #include "graph/graph.hpp"
 #include "inference/observer.hpp"
@@ -51,13 +50,15 @@ struct OverlayScenario {
 
   /// Fault-injection extension: per-message/link adversities applied
   /// to the transport (absent or inert = bit-identical to a fault-free
-  /// run) and scheduled service-level outages.
+  /// run; an enabled plan must set per_link_streams), node-crash
+  /// bursts from the same plan, and pseudonym-service blackout
+  /// windows.
   std::optional<fault::FaultPlan> faults;
   fault::ServiceFaults service_faults;
 
   /// Byzantine-adversary extension (§III-E): seeded attacker roles
-  /// driven through the overlay service on either backend. Absent or
-  /// zero-fraction = bit-identical to an adversary-free run.
+  /// driven through the overlay service. Absent or zero-fraction =
+  /// bit-identical to an adversary-free run.
   std::optional<adversary::AdversaryPlan> adversary;
 
   /// Link-privacy extension (§III): a passive observer recording
@@ -66,21 +67,16 @@ struct OverlayScenario {
   /// observer.
   std::optional<inference::ObserverPlan> observer;
 
-  /// Simulation backend. 0 = the legacy serial Simulator (bit-exact
-  /// with every earlier release). K >= 1 = the sharded core with K
-  /// shard workers; trajectories are identical for every K but differ
-  /// from the serial backend (different tie-break discipline). K > 0
-  /// requires an enabled fault plan to set per_link_streams;
-  /// node_crashes and pseudonym_blackouts in service_faults are
-  /// supported (blackouts become data windows), relay_crashes are not
-  /// (the scenario layer has no mix mode).
-  std::size_t shards = 0;
+  /// Shard count K >= 1 of the sharded simulation core the overlay
+  /// runs on (K threads). Trajectories are bit-identical for every K;
+  /// K = 1 runs serially on the calling thread.
+  std::size_t shards = 1;
 
   /// Warm-start forking (DESIGN.md §13): when set, run_overlay caches
   /// the post-warmup simulator state in this directory as a checkpoint
   /// keyed by the cell's full identity (graph fingerprint, seed,
-  /// backend, churn, params, fault/adversary/observer plans, warmup
-  /// length). A rerun of the same cell restores the snapshot instead
+  /// churn, params, fault/adversary/observer plans, warmup length; not
+  /// the shard count — snapshots restore at any K). A rerun of the same cell restores the snapshot instead
   /// of re-simulating the warmup — bit-identical to the cold run, as
   /// the checkpoint tests pin down. Ignored (silent cold run) for
   /// configurations outside the checkpoint scope: scheduled service

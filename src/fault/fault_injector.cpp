@@ -3,72 +3,26 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "privacylink/mix_network.hpp"
 
 namespace ppo::fault {
 
-FaultInjector::FaultInjector(sim::SimulatorBackend& sim, ServiceFaults faults,
-                             Hooks hooks,
+FaultInjector::FaultInjector(sim::SimulatorBackend& sim, Hooks hooks,
                              std::vector<NodeCrashEvent> node_crashes)
     : sim_(sim),
-      faults_(std::move(faults)),
       hooks_(std::move(hooks)),
       node_crashes_(std::move(node_crashes)) {
-  for (const Window& w : faults_.pseudonym_blackouts)
-    PPO_CHECK_MSG(w.end >= w.start, "inverted blackout window");
-  if (!faults_.pseudonym_blackouts.empty())
-    PPO_CHECK_MSG(
-        static_cast<bool>(hooks_.set_pseudonym_service_available),
-        "pseudonym blackouts need the availability hook");
-  for (const ServiceFaults::RelayCrash& c : faults_.relay_crashes) {
-    PPO_CHECK_MSG(c.revive_at < 0.0 || c.revive_at >= c.crash_at,
-                  "relay revival before its crash");
-    PPO_CHECK_MSG(hooks_.mix != nullptr,
-                  "relay crashes need a mix network");
-    PPO_CHECK_MSG(c.relay < hooks_.mix->num_relays(),
-                  "crashed relay id out of range");
-  }
-  if (!node_crashes_.empty()) {
-    PPO_CHECK_MSG(static_cast<bool>(hooks_.fail_node),
-                  "node crashes need the fail_node hook");
-    for (const NodeCrashEvent& c : node_crashes_)
-      if (c.revive_at >= 0.0)
-        PPO_CHECK_MSG(static_cast<bool>(hooks_.revive_node),
-                      "node revivals need the revive_node hook");
-  }
+  if (node_crashes_.empty()) return;
+  PPO_CHECK_MSG(static_cast<bool>(hooks_.fail_node),
+                "node crashes need the fail_node hook");
+  for (const NodeCrashEvent& c : node_crashes_)
+    if (c.revive_at >= 0.0)
+      PPO_CHECK_MSG(static_cast<bool>(hooks_.revive_node),
+                    "node revivals need the revive_node hook");
 }
 
 void FaultInjector::arm() {
   PPO_CHECK_MSG(!armed_, "fault injector already armed");
   armed_ = true;
-
-  for (const Window& w : faults_.pseudonym_blackouts) {
-    sim_.schedule_at(w.start, [this] {
-      // Windows may overlap: the service is down while ANY is active.
-      if (active_blackouts_++ == 0)
-        hooks_.set_pseudonym_service_available(false);
-      ++counters_.blackouts_started;
-    });
-    sim_.schedule_at(w.end, [this] {
-      PPO_CHECK(active_blackouts_ > 0);
-      if (--active_blackouts_ == 0)
-        hooks_.set_pseudonym_service_available(true);
-      ++counters_.blackouts_ended;
-    });
-  }
-
-  for (const ServiceFaults::RelayCrash& c : faults_.relay_crashes) {
-    sim_.schedule_at(c.crash_at, [this, r = c.relay] {
-      hooks_.mix->fail_relay(r);
-      ++counters_.relays_crashed;
-    });
-    if (c.revive_at >= 0.0) {
-      sim_.schedule_at(c.revive_at, [this, r = c.relay] {
-        hooks_.mix->revive_relay(r);
-        ++counters_.relays_revived;
-      });
-    }
-  }
 
   // Each crash is scheduled for its victim, so on the sharded backend
   // it executes on the victim's shard and only touches that node's

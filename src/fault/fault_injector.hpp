@@ -1,97 +1,56 @@
-// FaultInjector: schedules *service-level* outages into the simulator
-// — pseudonym-service blackouts (resolution requests fail while the
-// window is active), mix-relay crash/revive cycles, and correlated
-// node-crash bursts materialized from a FaultPlan (fault_stream.hpp).
-// It drives the target services through narrow hooks so the fault
-// layer stays decoupled from the overlay orchestration (the
-// OverlayService wires itself in; see overlay/service.hpp). Node
-// crashes route through the churn driver's fail/revive hooks, so
-// crash faults and availability churn share one seeded plan.
+// FaultInjector: schedules correlated node-crash bursts materialized
+// from a FaultPlan (fault_stream.hpp) into the simulator. It drives
+// the victims through narrow hooks — in practice the churn driver's
+// fail/revive — so crash faults and availability churn share one
+// seeded plan and the fault layer stays decoupled from the overlay
+// orchestration.
 //
 // Everything is data + scheduled events: with a fixed plan the
-// injected fault timeline is identical on every run. Node-crash
-// events are scheduled *for their victim*, so they also run on the
-// sharded backend; blackout and relay events have no single actor and
-// are serial-backend only.
+// injected fault timeline is identical on every run. Each event is
+// scheduled *for its victim*, so it runs on the victim's shard and the
+// timeline is the same for every shard count. The other service-level
+// outages need no events: pseudonym blackouts are windows the overlay
+// service consults (ServiceFaults, fault_plan.hpp), and relay outages
+// are MixNetwork::schedule_crash windows.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <vector>
 
-#include "fault/fault_plan.hpp"
 #include "fault/fault_stream.hpp"
 #include "sim/backend.hpp"
 
-namespace ppo::privacylink {
-class MixNetwork;
-}
-
 namespace ppo::fault {
-
-/// Scheduled service-level adversities.
-struct ServiceFaults {
-  /// While a window is active, pseudonym resolution fails (lookups
-  /// return "unknown"); minting is unaffected — a node's pseudonym is
-  /// generated locally and registered when the service recovers.
-  std::vector<Window> pseudonym_blackouts;
-
-  /// One relay crash (and optional revival) of the mix network.
-  struct RelayCrash {
-    std::uint32_t relay = 0;   // privacylink::RelayId
-    double crash_at = 0.0;
-    /// Revival instant; < 0 means the relay never comes back.
-    double revive_at = -1.0;
-  };
-  std::vector<RelayCrash> relay_crashes;
-
-  bool empty() const {
-    return pseudonym_blackouts.empty() && relay_crashes.empty();
-  }
-};
 
 class FaultInjector {
  public:
+  /// Node-crash targets — in practice ChurnDriver::fail_permanently /
+  /// revive. fail_node is required; revive_node only when some event
+  /// revives its victim.
   struct Hooks {
-    /// Toggles pseudonym-service availability (required when
-    /// `pseudonym_blackouts` is non-empty).
-    std::function<void(bool)> set_pseudonym_service_available;
-    /// Target of the relay crash/revive schedule (required when
-    /// `relay_crashes` is non-empty).
-    privacylink::MixNetwork* mix = nullptr;
-    /// Node-crash targets (required when crash events are given) —
-    /// in practice ChurnDriver::fail_permanently / revive.
     std::function<void(graph::NodeId)> fail_node;
     std::function<void(graph::NodeId)> revive_node;
   };
 
   struct Counters {
-    std::uint64_t blackouts_started = 0;
-    std::uint64_t blackouts_ended = 0;
-    std::uint64_t relays_crashed = 0;
-    std::uint64_t relays_revived = 0;
     std::uint64_t nodes_crashed = 0;
     std::uint64_t nodes_revived = 0;
   };
 
-  FaultInjector(sim::SimulatorBackend& sim, ServiceFaults faults,
-                Hooks hooks, std::vector<NodeCrashEvent> node_crashes = {});
+  FaultInjector(sim::SimulatorBackend& sim, Hooks hooks,
+                std::vector<NodeCrashEvent> node_crashes);
 
-  /// Schedules every fault event. Call once, before running the
+  /// Schedules every crash and revival. Call once, before running the
   /// simulation past the earliest fault instant.
   void arm();
 
   const Counters& counters() const { return counters_; }
 
-  /// True while at least one blackout window is active.
-  bool blackout_active() const { return active_blackouts_ > 0; }
-
  private:
   sim::SimulatorBackend& sim_;
-  ServiceFaults faults_;
   Hooks hooks_;
   std::vector<NodeCrashEvent> node_crashes_;
-  std::size_t active_blackouts_ = 0;
   bool armed_ = false;
   Counters counters_;
 };

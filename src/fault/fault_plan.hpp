@@ -7,7 +7,7 @@
 // and sweepable on the ppo_runner pool.
 //
 // Plans are consumed by FaultyTransport (per-message + link-level
-// faults) and FaultInjector (service-level outages, see
+// faults) and FaultInjector (node-crash bursts, see
 // fault_injector.hpp).
 #pragma once
 
@@ -146,8 +146,9 @@ struct FaultPlan {
 
   /// Derive each link's fate stream per (seed, from, to, message
   /// index) instead of from one shared sequential stream. Fault
-  /// patterns then depend only on a link's own traffic — required for
-  /// K-invariance on the sharded backend, opt-in elsewhere. The
+  /// patterns then depend only on a link's own traffic — required by
+  /// the overlay service (K-invariance on the sharded core); the
+  /// shared stream remains for transports driven directly. The
   /// zero-fault guarantee below holds in both modes.
   bool per_link_streams = false;
 
@@ -165,6 +166,17 @@ struct FaultPlan {
 
   /// Is any link blackout active at time t?
   bool outage_at(double t) const;
+};
+
+/// Scheduled service-level adversities, installed on the overlay
+/// service as data before a run.
+struct ServiceFaults {
+  /// While a window is active, pseudonym resolution fails (lookups
+  /// return "unknown"); minting is unaffected — a node's pseudonym is
+  /// generated locally and registered when the service recovers.
+  std::vector<Window> pseudonym_blackouts;
+
+  bool empty() const { return pseudonym_blackouts.empty(); }
 };
 
 }  // namespace ppo::fault

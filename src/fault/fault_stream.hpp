@@ -1,7 +1,7 @@
 // Materialization of a FaultPlan's correlated node-crash bursts into
 // concrete (node, crash time, revival time) events. Victim selection
 // is a pure function of the plan seed and the node count, so the same
-// plan crashes the same nodes on every backend and shard count — the
+// plan crashes the same nodes for every shard count — the
 // property that lets crash faults and availability churn share one
 // seeded plan (FaultInjector drives both through the churn driver).
 #pragma once

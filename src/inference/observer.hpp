@@ -2,9 +2,8 @@
 // benchmark"; ground: Mittal et al., arXiv:1208.6189 and Nguyen et
 // al., arXiv:1609.01616). The paper's protocol hides the trust graph
 // behind rotating pseudonyms; this adversary measures how much of it
-// leaks anyway. It taps the shuffle send seam of BOTH OverlayService
-// and ShardedOverlayService (the same seam the Byzantine engine uses)
-// and records what a network-level eavesdropper would see: the
+// leaks anyway. It taps the shuffle send seam of ShardedOverlayService
+// (the same seam the Byzantine engine uses) and records what a network-level eavesdropper would see: the
 // pseudonym-to-pseudonym exchange metadata, never node identities.
 //
 // Observation model: a global passive observer (coverage = 1) sees

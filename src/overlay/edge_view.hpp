@@ -65,9 +65,9 @@ class OverlayEdgeView {
       graph::GraphView trust, sim::Time now, SamplerFn&& sampler_of,
       ResolveFn&& resolve) {
     const std::size_t n = trust.num_nodes();
-    // Late joiners (add_member): size each newcomer's target slice to
-    // its sampler — slot counts never change after node construction,
-    // so the capacity is final.
+    // First call: size each node's target slice to its sampler — slot
+    // counts never change after node construction, so the capacity is
+    // final.
     while (state_.size() < n) {
       const graph::NodeId v = static_cast<graph::NodeId>(state_.size());
       NodeState st;

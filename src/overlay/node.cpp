@@ -125,13 +125,6 @@ void OverlayNode::handle_online() {
   }
 }
 
-void OverlayNode::add_trusted_neighbor(NodeId neighbor) {
-  PPO_CHECK_MSG(neighbor != id_, "cannot trust oneself");
-  if (std::find(trusted_.begin(), trusted_.end(), neighbor) ==
-      trusted_.end())
-    trusted_.push_back(neighbor);
-}
-
 void OverlayNode::handle_offline() {
   online_ = false;
   offline_since_ = env_.now();
@@ -202,9 +195,8 @@ sim::EventFn OverlayNode::make_timeout_event(std::uint64_t exchange_id) {
 
 void OverlayNode::journal_timer(std::vector<TimerRecord>& journal,
                                 double fire_time, std::uint64_t key) {
-  // Conservative prune (strictly-before now): entries at exactly `now`
-  // may still be pending on the sharded backend; save_state applies
-  // the backend's exact predicate.
+  // Prune strictly-before now: entries at exactly `now` may still be
+  // pending (run_until is exclusive of its end time).
   const sim::Time now = env_.now();
   std::erase_if(journal,
                 [now](const TimerRecord& t) { return t.fire_time < now; });
@@ -419,12 +411,10 @@ namespace {
 
 void write_timer_journal(ckpt::Writer& w,
                          const std::vector<OverlayNode::TimerRecord>& journal,
-                         sim::Time now, bool inclusive_fired) {
+                         sim::Time now) {
   std::vector<const OverlayNode::TimerRecord*> live;
-  for (const auto& t : journal) {
-    const bool fired = inclusive_fired ? t.fire_time <= now : t.fire_time < now;
-    if (!fired) live.push_back(&t);
-  }
+  for (const auto& t : journal)
+    if (t.fire_time >= now) live.push_back(&t);
   w.size(live.size());
   for (const auto* t : live) {
     w.f64(t->fire_time);
@@ -451,8 +441,7 @@ void read_timer_journal(ckpt::Reader& r,
 
 }  // namespace
 
-void OverlayNode::save_state(ckpt::Writer& w, sim::Time now,
-                             bool inclusive_fired) const {
+void OverlayNode::save_state(ckpt::Writer& w, sim::Time now) const {
   w.tag(0x4E4F4445u);  // 'NODE'
   w.u32(id_);
   w.size(trusted_.size());
@@ -515,8 +504,8 @@ void OverlayNode::save_state(ckpt::Writer& w, sim::Time now,
   w.u64(counters_.stale_responses);
   w.u64(counters_.forged_rejected);
   w.u64(counters_.requests_rate_limited);
-  write_timer_journal(w, renewal_journal_, now, inclusive_fired);
-  write_timer_journal(w, exchange_journal_, now, inclusive_fired);
+  write_timer_journal(w, renewal_journal_, now);
+  write_timer_journal(w, exchange_journal_, now);
 }
 
 void OverlayNode::load_state(ckpt::Reader& r) {

@@ -1,7 +1,7 @@
 // Per-node overlay-maintenance protocol (§III): trusted links from the
 // trust graph, pseudonym links chosen by the slot sampler, periodic
 // shuffling, and TTL-driven pseudonym renewal. All I/O goes through
-// the NodeEnvironment interface implemented by OverlayService.
+// the NodeEnvironment interface implemented by ShardedOverlayService.
 #pragma once
 
 #include <cstdint>
@@ -102,14 +102,9 @@ class OverlayNode {
   std::size_t trust_degree() const { return trusted_.size(); }
   std::size_t slot_capacity() const { return sampler_.slot_count(); }
 
-  /// Churn callbacks (driven by OverlayService).
+  /// Churn callbacks (driven by the overlay service).
   void handle_online();
   void handle_offline();
-
-  /// Dynamic membership: a newly joined user added `this` to their
-  /// trusted peers; the trust edge is mutual (§II-B). Does not shrink
-  /// an already-sized sampler — only future nodes see the new degree.
-  void add_trusted_neighbor(NodeId neighbor);
 
   /// One shuffle-period tick: pick a random overlay link, ship own
   /// pseudonym + cache sample to its far end.
@@ -164,10 +159,10 @@ class OverlayNode {
   };
 
   /// Serializes the node's full mutable state, including the pending
-  /// one-shot timers. `now` + `inclusive_fired` define which journal
-  /// entries have already fired (serial backend: fire <= now; sharded:
-  /// fire < now) and are omitted.
-  void save_state(ckpt::Writer& w, sim::Time now, bool inclusive_fired) const;
+  /// one-shot timers. Journal entries with fire < `now` have already
+  /// fired and are omitted (run_until is exclusive of its end, so a
+  /// timer at exactly `now` is still pending).
+  void save_state(ckpt::Writer& w, sim::Time now) const;
   void load_state(ckpt::Reader& r);
 
   /// After load_state: the timers that were pending at save time. The

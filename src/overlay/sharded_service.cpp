@@ -26,6 +26,17 @@ constexpr NodeId kNoExternalNode = static_cast<NodeId>(-1);
 
 }  // namespace
 
+sim::ShardedSimulator::Options simulator_options(
+    const OverlayServiceOptions& options, std::size_t nodes,
+    std::size_t shards) {
+  sim::ShardedSimulator::Options so;
+  so.shards = shards;
+  so.num_actors = nodes;
+  so.lookahead = options.use_mix_network ? options.mix.min_hop_latency
+                                         : options.transport.min_latency;
+  return so;
+}
+
 ShardedOverlayService::ShardedOverlayService(
     sim::ShardedSimulator& sim, const graph::Graph& trust_graph,
     const churn::ChurnModel& churn_model, OverlayServiceOptions options,
@@ -52,11 +63,10 @@ ShardedOverlayService::ShardedOverlayService(
   PPO_CHECK_MSG(churn_.num_nodes() == n, "one churn model per node required");
   PPO_CHECK_MSG(sim_.num_actors() == n,
                 "simulator actor count must equal the node count");
-  // Barrier-published mints cannot see collisions with mints from
-  // other shards in the same window; a wide value space makes them
-  // vanishingly unlikely (and publish still checks).
-  PPO_CHECK_MSG(options_.params.pseudonym_bits >= 48,
-                "sharded runs need >= 48 pseudonym bits");
+  // Mints of one window cannot see each other (they are published at
+  // the barrier, on every K), so a same-window collision of two owners
+  // aborts at publish. The default 64-bit space makes that vanishingly
+  // unlikely; narrow widths are for small populations.
   const auto online = [this](NodeId v) { return churn_.is_online(v); };
   if (options_.use_mix_network) {
     // Relay hops stay on the sender's shard; only the exit hop
@@ -228,7 +238,6 @@ void ShardedOverlayService::publish_pending_mints() {
 std::optional<NodeId> ShardedOverlayService::resolve(PseudonymValue value) {
   // A blacked-out pseudonym service answers no resolution request;
   // the protocol skips the shuffle round (graceful degradation).
-  if (!pseudonym_service_available_) return std::nullopt;
   const sim::Time t = sim_.now();
   for (const fault::Window& w : pseudonym_blackouts_)
     if (w.contains(t)) return std::nullopt;
@@ -413,12 +422,10 @@ void ShardedOverlayService::enable_checkpointing() {
                 "configuration not checkpointable: mix transport or a "
                 "two-stage (jitter/reorder) fault plan is enabled");
   journal_ = std::make_unique<privacylink::DeliveryJournal>(
-      sim_.num_shards(),
-      [this] {
+      sim_.num_shards(), [this] {
         const std::size_t s = sim_.current_shard();
         return s == sim::ShardedSimulator::kNoShard ? 0 : s;
-      },
-      /*inclusive_prune=*/false);
+      });
   bare_->set_journal(journal_.get());
   if (faulty_) faulty_->set_journal(journal_.get());
 }
@@ -507,7 +514,6 @@ void ShardedOverlayService::save_checkpoint(ckpt::Writer& w) const {
   w.u64(sim_.events_executed());
   w.u64_vec(sim_.actor_seqs());
   w.u64(sim_.external_seq());
-  w.b(pseudonym_service_available_);
   w.f64(last_gc_);
   pseudonyms_.save_state(w);
   churn_.save_state(w);
@@ -526,11 +532,11 @@ void ShardedOverlayService::save_checkpoint(ckpt::Writer& w) const {
     w.u32(tick.ticket().origin);
     w.u64(tick.ticket().seq);
   }
-  // The sharded run_until is exclusive of its end time: events at
-  // exactly t == now are still pending, so they are NOT fired yet.
+  // Per-node protocol state, one-shot timers included. run_until is
+  // exclusive of its end time: timers at exactly t == now are still
+  // pending.
   w.size(nodes_.size());
-  for (const OverlayNode& node : nodes_)
-    node.save_state(w, now, /*inclusive_fired=*/false);
+  for (const OverlayNode& node : nodes_) node.save_state(w, now);
   const auto entries = journal_->collect(now);
   w.size(entries.size());
   for (const auto& e : entries) {
@@ -556,7 +562,6 @@ void ShardedOverlayService::restore_from_checkpoint(ckpt::Reader& r) {
   const std::vector<std::uint64_t> actor_seqs = r.u64_vec();
   const std::uint64_t external_seq = r.u64();
   sim_.restore_state(now, executed, actor_seqs, external_seq);
-  pseudonym_service_available_ = r.b();
   last_gc_ = r.f64();
   pseudonyms_.load_state(r);
   churn_.load_state(r);

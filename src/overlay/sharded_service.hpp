@@ -1,8 +1,14 @@
-// Shard-aware variant of OverlayService: the same protocol nodes, but
-// orchestrated on a sim::ShardedSimulator so independent nodes run on
-// parallel shard workers. The service's job is to keep every source
-// of randomness and every mutable structure *node-keyed*, which is
-// what makes the trajectory bit-identical across shard counts:
+// The overlay-maintenance service: N protocol nodes built from a
+// trust graph, churn-driven online/offline transitions, the
+// privacy-preserving transport, and the measurement views the paper's
+// metrics read — orchestrated on a sim::ShardedSimulator so
+// independent nodes can run on parallel shard workers. K = 1 is the
+// serial case: one shard on the caller's thread, the same canonical
+// event order every K reproduces bit for bit.
+//
+// The service's job is to keep every source of randomness and every
+// mutable structure *node-keyed*, which is what makes the trajectory
+// bit-identical across shard counts:
 //
 //  - every RNG stream is derived statelessly from (seed, subsystem
 //    tag, node id) via derive_seed() — churn dwell times, protocol
@@ -17,29 +23,32 @@
 //    resolved by a remote node before t + min_latency, which is at
 //    least one window away).
 //
-// Differences from the serial OverlayService: run the simulation via
-// ShardedSimulator::run_until (exclusive of its end time); dynamic
-// membership (add_member) is not supported. Service-level faults ARE
-// supported, but data-driven instead of event-driven: node-crash
-// bursts run via FaultInjector's per-victim events, and pseudonym
-// blackouts are installed up front as windows
-// (set_pseudonym_blackout_windows) that resolve() consults — no
-// shared mutable toggle, so shard workers stay race-free.
+// Run the simulation via ShardedSimulator::run_until (exclusive of its
+// end time). Membership is fixed at construction. Service-level
+// faults are data, not shared toggles: node-crash bursts run via
+// FaultInjector's per-victim events, pseudonym blackouts are windows
+// installed up front (set_pseudonym_blackout_windows) that resolve()
+// consults, and mix-relay outages are MixNetwork::schedule_crash
+// windows — so shard workers stay race-free.
 #pragma once
 
 #include <memory>
 #include <optional>
 #include <vector>
 
+#include "adversary/engine.hpp"
+#include "adversary/plan.hpp"
 #include "churn/churn_driver.hpp"
 #include "churn/churn_model.hpp"
 #include "common/arena.hpp"
+#include "fault/fault_plan.hpp"
 #include "fault/faulty_transport.hpp"
 #include "graph/graph.hpp"
+#include "inference/observer.hpp"
 #include "metrics/protocol_health.hpp"
 #include "overlay/edge_view.hpp"
 #include "overlay/node.hpp"
-#include "overlay/service.hpp"
+#include "overlay/params.hpp"
 #include "privacylink/mix_transport.hpp"
 #include "privacylink/pseudonym_service.hpp"
 #include "privacylink/transport.hpp"
@@ -47,6 +56,49 @@
 #include "sim/sharded_simulator.hpp"
 
 namespace ppo::overlay {
+
+struct OverlayServiceOptions {
+  OverlayParams params;
+  privacylink::TransportOptions transport;
+
+  /// Full-stack mode: protocol messages ride real onion circuits
+  /// through a MixNetwork instead of the ideal transport. Expensive;
+  /// for small-scale validation and demos (see DESIGN.md).
+  bool use_mix_network = false;
+  privacylink::MixOptions mix;
+  privacylink::MixTransportOptions mix_transport;
+
+  /// Fault-injection extension: when set and enabled(), the transport
+  /// is wrapped in a FaultyTransport applying this plan, which must
+  /// set per_link_streams. An absent or inert plan leaves the
+  /// simulation bit-identical to an unwrapped run (the fault stream
+  /// has its own seed).
+  std::optional<fault::FaultPlan> link_faults;
+
+  /// Byzantine-adversary extension (§III-E): when set and enabled(),
+  /// an AdversaryEngine intercepts the shuffle send seams and drives
+  /// the plan's attacker roles. An absent or zero-fraction plan skips
+  /// engine construction entirely, so the run stays bit-identical to
+  /// the unwrapped baseline (the engine draws only from plan-derived
+  /// streams, never from the service's streams).
+  std::optional<adversary::AdversaryPlan> adversary;
+
+  /// Link-privacy measurement extension (§III): when set and
+  /// enabled(), a passive ObserverAdversary records the shuffle
+  /// traffic its observation model can see. Purely read-only at the
+  /// same send seams — it never perturbs the trajectory — and a
+  /// zero-coverage plan skips construction entirely, keeping the run
+  /// bit-identical to one with no plan at all.
+  std::optional<inference::ObserverPlan> observer;
+};
+
+/// Simulator options that fit a service with `options` over `nodes`
+/// nodes: one actor per node, `shards` shards, and a lookahead equal to
+/// the smallest cross-node latency (the mix network's hop latency in
+/// mix mode, the transport's otherwise).
+sim::ShardedSimulator::Options simulator_options(
+    const OverlayServiceOptions& options, std::size_t nodes,
+    std::size_t shards = 1);
 
 class ShardedOverlayService final : public NodeEnvironment {
  public:
@@ -87,23 +139,17 @@ class ShardedOverlayService final : public NodeEnvironment {
     return sim_.last_ticket();
   }
 
-  void set_pseudonym_service_available(bool available) {
-    pseudonym_service_available_ = available;
-  }
-  bool pseudonym_service_available() const {
-    return pseudonym_service_available_;
-  }
-
-  /// Sharded replacement for FaultInjector's blackout events: install
-  /// the full blackout schedule before start(). resolve() fails while
-  /// any window contains now(). Read-only during windows, so it is
-  /// safe under parallel shard workers and K-invariant by
-  /// construction. Call before running the simulation.
+  /// Pseudonym-service blackouts: install the full schedule before
+  /// running the simulation. While any window contains now(),
+  /// protocol-level resolution (resolve) fails; metric views keep
+  /// their omniscient registry lookups, and minting stays local.
+  /// Read-only during windows, so it is safe under parallel shard
+  /// workers and K-invariant by construction.
   void set_pseudonym_blackout_windows(std::vector<fault::Window> windows) {
     pseudonym_blackouts_ = std::move(windows);
   }
 
-  // --- inspection (mirrors OverlayService; call between windows) ---
+  // --- inspection (call between windows) ---
   std::size_t num_nodes() const { return nodes_.size(); }
   const graph::Graph& trust_graph() const { return trust_graph_; }
   const graph::NodeMask& online_mask() const { return churn_.online_mask(); }
@@ -111,16 +157,21 @@ class ShardedOverlayService final : public NodeEnvironment {
   OverlayNode& node(NodeId id) { return nodes_[id]; }
   const OverlayNode& node(NodeId id) const { return nodes_[id]; }
   churn::ChurnDriver& churn_driver() { return churn_; }
+  /// The transport protocol messages go through (the fault wrapper
+  /// when link_faults is enabled, the bare transport otherwise).
   const privacylink::LinkTransport& transport() const { return *link_; }
   const privacylink::PseudonymService& pseudonym_service() const {
     return pseudonyms_;
   }
+  /// The mix network backing the transport (mix mode only).
   const privacylink::MixNetwork* mix_network() const { return mix_.get(); }
+  /// Mutable access for installing relay outage windows
+  /// (MixNetwork::schedule_crash) before the run.
+  privacylink::MixNetwork* mutable_mix_network() { return mix_.get(); }
+  /// The fault wrapper, if link_faults was set and enabled.
   const fault::FaultyTransport* fault_transport() const {
     return faulty_.get();
   }
-  /// Mutable access for fault-injection hooks (relay crash/revive).
-  privacylink::MixNetwork* mutable_mix_network() { return mix_.get(); }
   /// The adversary engine, if an enabled plan was set.
   const adversary::AdversaryEngine* adversary_engine() const {
     return engine_.get();
@@ -130,34 +181,73 @@ class ShardedOverlayService final : public NodeEnvironment {
     return observer_.get();
   }
 
+  /// The current overlay graph over ALL nodes (online and offline):
+  /// trust edges plus an edge {u, v} whenever u holds a live
+  /// pseudonym of v. Metrics mask it with online_mask().
   graph::Graph overlay_snapshot() const;
-  /// Snapshot-free edge enumeration (see OverlayService::overlay_edges
-  /// and edge_view.hpp). Call between windows, like overlay_snapshot.
+
+  /// The same edge set as overlay_snapshot(), normalized (u < v,
+  /// sorted, deduplicated) without materializing a Graph: per-node
+  /// resolved-target slices are memoized across calls and re-derived
+  /// only when the node's sampler mutated or an expiry passed (see
+  /// edge_view.hpp). The span is valid until the next call. This is
+  /// the measurement loop's path; feed it to
+  /// CsrGraph::assign_from_edges or StreamingConnectivity.
   std::span<const std::pair<graph::NodeId, graph::NodeId>> overlay_edges();
   const OverlayEdgeView& edge_view() const { return edge_view_; }
+
+  /// The nodes `v` can currently reach over its own links (n.links):
+  /// trusted neighbors plus the owners of its live sampled
+  /// pseudonyms. What an application layer on top of the overlay
+  /// sends to (it addresses the LINKS; the identities here are
+  /// simulator-level bookkeeping).
   std::vector<NodeId> current_peers(NodeId v) const;
+
+  /// Aggregated per-node accounting.
   SlotSampler::ReplacementCounters total_replacements() const;
   OverlayNode::Counters total_counters() const;
+
+  /// Protocol + transport degradation rollup for figure reports.
   metrics::ProtocolHealth protocol_health() const;
 
-  /// Arena bytes reserved for all per-node hot state (see
-  /// OverlayService::node_state_bytes).
+  /// Arena bytes reserved for all per-node hot state (cache entries,
+  /// sampler slot arrays, pending-exchange blocks) — the numerator of
+  /// the bytes-per-node telemetry in the crawl-scale reports.
   std::size_t node_state_bytes() const { return arena_.bytes_reserved(); }
 
-  /// --- checkpoint/restore (mirrors OverlayService) ------------------
+  /// --- checkpoint/restore -------------------------------------------
+  /// True when this configuration's full state can be snapshotted:
+  /// ideal transport only (no mix network), and a fault plan whose
+  /// deliveries are single-stage (no jitter/reorder).
   bool checkpointable() const {
     return !options_.use_mix_network &&
            (faulty_ == nullptr || faulty_->plan_checkpointable());
   }
+
+  /// Arms the in-flight delivery journal on the transport stack. Must
+  /// be called before start() (or restore_from_checkpoint()); aborts
+  /// when !checkpointable().
   void enable_checkpointing();
-  /// Call only at the quiescent point after run_until returned: all
-  /// mailboxes drained, no window in flight, pending mint buffers
-  /// published at the last barrier.
+
+  /// Serializes the complete mutable state (clock, sequence counters,
+  /// every RNG stream, node hot state, pending timers and in-flight
+  /// messages). Call only at the quiescent point after run_until
+  /// returned: all mailboxes drained, no window in flight, pending
+  /// mint buffers published at the last barrier. Requires
+  /// enable_checkpointing().
   void save_checkpoint(ckpt::Writer& w) const;
-  /// Call INSTEAD of start() on a freshly constructed service. The
-  /// resumed run must slice run_until calls exactly like the original
-  /// (lockstep windows re-anchor per call). Throws ckpt::ParseError.
+
+  /// Counterpart: call INSTEAD of start() on a freshly constructed
+  /// service over the same graph/options/seed, after
+  /// enable_checkpointing(). Re-registers every pending event under
+  /// its original canonical key, so the snapshot restores at any
+  /// shard count. The resumed run must slice run_until calls exactly
+  /// like the original (lockstep windows re-anchor per call). Throws
+  /// ckpt::ParseError on any inconsistency.
   void restore_from_checkpoint(ckpt::Reader& r);
+
+  /// Drops journal entries whose deliveries have already executed
+  /// (bounds memory on long runs; call between windows).
   void prune_checkpoint_journal() {
     if (journal_) journal_->prune(sim_.now());
   }
@@ -184,7 +274,8 @@ class ShardedOverlayService final : public NodeEnvironment {
   /// (the eclipse-capture measure; 0 without an engine).
   std::uint64_t count_eclipsed_slots() const;
 
-  /// Checkpoint delivery payload recipe (see OverlayService).
+  /// Serializes everything a delivery closure needs so it can be
+  /// rebuilt after a restore (checkpoint journal payload recipe).
   std::string encode_delivery(
       bool is_response, NodeId from, NodeId to,
       const std::vector<PseudonymRecord>& set,
@@ -208,10 +299,10 @@ class ShardedOverlayService final : public NodeEnvironment {
   /// null in mix mode).
   privacylink::Transport* bare_ = nullptr;
   std::unique_ptr<privacylink::DeliveryJournal> journal_;
-  bool pseudonym_service_available_ = true;
-  /// Backs every node's hot state (see OverlayService::arena_).
-  /// Touched only at node construction, before any shard worker
-  /// exists, so windows run against frozen allocations.
+  /// Backs every node's hot state (cache entries, sampler slot
+  /// arrays, pending-exchange blocks). Declared before nodes_ so it
+  /// outlives them. Touched only at node construction, before any
+  /// shard worker exists, so windows run against frozen allocations.
   Arena arena_;
   std::vector<OverlayNode> nodes_;
   /// Per-node pseudonym-value streams (derive_seed tag 4): a node's

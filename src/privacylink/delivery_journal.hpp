@@ -38,16 +38,11 @@ class DeliveryJournal {
     bool faulty = false;   // wrapped by FaultyTransport's delivery counter
   };
 
-  /// `slots`: shard count (1 for the serial backend). `slot_of`
-  /// resolves the calling context's slot. `inclusive_prune` matches
-  /// the backend's run_until semantics: the serial core executes
-  /// events at exactly t == now (prune them), the sharded core leaves
-  /// them pending (keep them).
-  DeliveryJournal(std::size_t slots, std::function<std::size_t()> slot_of,
-                  bool inclusive_prune)
-      : slots_(slots == 0 ? 1 : slots),
-        slot_of_(std::move(slot_of)),
-        inclusive_(inclusive_prune) {}
+  /// `slots`: shard count. `slot_of` resolves the calling context's
+  /// slot. Deliveries at exactly t == now count as pending: run_until
+  /// is exclusive of its end time.
+  DeliveryJournal(std::size_t slots, std::function<std::size_t()> slot_of)
+      : slots_(slots == 0 ? 1 : slots), slot_of_(std::move(slot_of)) {}
 
   /// Service side, immediately before LinkTransport::send: stages the
   /// payload recipe the transport's commit will attach to.
@@ -89,14 +84,9 @@ class DeliveryJournal {
 
   /// Drops entries whose delivery already executed. Single-threaded.
   void prune(double now) {
-    for (Slot& s : slots_) {
-      auto dead = [&](const Entry& e) {
-        return inclusive_ ? e.fire_time <= now : e.fire_time < now;
-      };
-      s.entries.erase(
-          std::remove_if(s.entries.begin(), s.entries.end(), dead),
-          s.entries.end());
-    }
+    for (Slot& s : slots_)
+      std::erase_if(s.entries,
+                    [now](const Entry& e) { return e.fire_time < now; });
   }
 
   /// Re-registers a restored entry so it survives into the next
@@ -108,11 +98,8 @@ class DeliveryJournal {
   std::vector<Entry> collect(double now) const {
     std::vector<Entry> out;
     for (const Slot& s : slots_)
-      for (const Entry& e : s.entries) {
-        const bool pending =
-            inclusive_ ? e.fire_time > now : e.fire_time >= now;
-        if (pending) out.push_back(e);
-      }
+      for (const Entry& e : s.entries)
+        if (e.fire_time >= now) out.push_back(e);
     std::sort(out.begin(), out.end(), [](const Entry& a, const Entry& b) {
       if (a.fire_time != b.fire_time) return a.fire_time < b.fire_time;
       if (a.ticket.origin != b.ticket.origin)
@@ -133,7 +120,6 @@ class DeliveryJournal {
 
   std::vector<Slot> slots_;
   std::function<std::size_t()> slot_of_;
-  bool inclusive_;
 };
 
 }  // namespace ppo::privacylink

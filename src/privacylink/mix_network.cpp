@@ -33,7 +33,7 @@ MixNetwork::MixNetwork(sim::SimulatorBackend& sim, MixOptions options, Rng rng)
   PPO_CHECK_MSG(options_.num_relays >= 1, "mix needs at least one relay");
   relays_.reserve(options_.num_relays);
   for (std::size_t i = 0; i < options_.num_relays; ++i)
-    relays_.push_back(Relay{crypto::x25519_keypair(random_key(rng_)), true, {}, {}});
+    relays_.push_back(Relay{crypto::x25519_keypair(random_key(rng_)), {}, {}});
 }
 
 const crypto::X25519Key& MixNetwork::relay_public_key(RelayId r) const {
@@ -42,7 +42,6 @@ const crypto::X25519Key& MixNetwork::relay_public_key(RelayId r) const {
 }
 
 bool MixNetwork::alive_at(const Relay& r, double t) const {
-  if (!r.alive) return false;
   for (const CrashWindow& w : r.crashes)
     if (t >= w.crash_at && (w.revive_at < 0.0 || t < w.revive_at))
       return false;
@@ -161,16 +160,6 @@ void MixNetwork::inject(RelayId relay, crypto::Bytes message,
                         forward(relay, std::move(msg), std::move(deliver),
                                 msg_rng, sim::kExternalActor);
                       });
-}
-
-void MixNetwork::fail_relay(RelayId r) {
-  PPO_CHECK_MSG(r < relays_.size(), "relay id out of range");
-  relays_[r].alive = false;
-}
-
-void MixNetwork::revive_relay(RelayId r) {
-  PPO_CHECK_MSG(r < relays_.size(), "relay id out of range");
-  relays_[r].alive = true;
 }
 
 void MixNetwork::schedule_crash(RelayId r, double crash_at, double revive_at) {

@@ -11,9 +11,8 @@
 // sequence — never of how other traffic interleaves. Relay replay
 // lists are mutex-guarded and the counters are atomic (replay
 // blocking is order-independent: however two copies interleave, the
-// second sees the first's fingerprint). Relay crashes on the sharded
-// backend are data (schedule_crash windows, read-only while windows
-// run) instead of events (fail_relay/revive_relay, serial-only).
+// second sees the first's fingerprint). Relay crashes are data
+// (schedule_crash windows, read-only while events run), not events.
 #pragma once
 
 #include <atomic>
@@ -62,20 +61,14 @@ class MixNetwork {
 
   /// Injects a raw (already onion-wrapped) message at a relay — what
   /// an adversary replaying captured traffic would do. Used by the
-  /// replay-defence tests and the attack benches. Serial-only: hop
-  /// latencies come from the network's own stream.
+  /// replay-defence tests and the attack benches. Single-shard only:
+  /// hop latencies come from the network's own stream.
   void inject(RelayId relay, crypto::Bytes message,
               std::function<void(crypto::Bytes)> deliver);
 
-  /// Failure injection, event form (serial backend): the relay stops
-  /// forwarding.
-  void fail_relay(RelayId r);
-  /// Crash recovery: the relay resumes forwarding (keys and replay
-  /// history survive the outage — a restart, not a fresh identity).
-  void revive_relay(RelayId r);
-
-  /// Failure injection, data form (both backends): the relay is down
-  /// during [crash_at, revive_at), or forever when revive_at < 0.
+  /// Failure injection: the relay is down during [crash_at,
+  /// revive_at), or forever when revive_at < 0. A revived relay keeps
+  /// its keys and replay history (a restart, not a fresh identity).
   /// Install the full schedule before running the simulation — the
   /// windows are read-only while events execute.
   void schedule_crash(RelayId r, double crash_at, double revive_at = -1.0);
@@ -102,7 +95,6 @@ class MixNetwork {
 
   struct Relay {
     crypto::X25519KeyPair keys;
-    bool alive = true;
     /// Hashes of messages already forwarded (replay defence). Bounded
     /// in practice by pseudonym lifetime (§III-C); unbounded here as
     /// simulation runs are finite. Guarded by seen_mutex_.
@@ -120,7 +112,7 @@ class MixNetwork {
   MixOptions options_;
   Rng rng_;
   std::vector<Relay> relays_;
-  /// One lock for all replay lists: uncontended in serial runs, and
+  /// One lock for all replay lists: uncontended at K = 1, and
   /// mix-mode sharded runs are small-scale by design.
   mutable std::mutex seen_mutex_;
   std::atomic<std::uint64_t> forwarded_{0};

@@ -49,7 +49,7 @@ bool MixTransport::send(graph::NodeId from, graph::NodeId to,
   Rng& rng = sender_rngs_.empty() ? rng_ : sender_rngs_[from];
   const auto route = mix_.random_route(options_.circuit_hops, rng);
   // Delivery belongs to the destination actor so the exit hop can
-  // cross shards; on the serial backend the actor id is inert.
+  // cross shards; on sim::Simulator the actor id is inert.
   mix_.send(route, std::move(payload),
             [this, to, fn = std::move(on_deliver)](crypto::Bytes) {
               if (!is_online_(to)) return;  // destination went dark

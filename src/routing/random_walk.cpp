@@ -11,7 +11,7 @@ namespace {
 
 /// True when `node` can complete delivery of `target`: it owns the
 /// pseudonym or holds it among its sampled links.
-bool holds_target(overlay::OverlayService& service, NodeId node,
+bool holds_target(overlay::ShardedOverlayService& service, NodeId node,
                   PseudonymValue target) {
   const auto own = service.node(node).own_pseudonym();
   if (own && own->value == target) return true;
@@ -21,7 +21,7 @@ bool holds_target(overlay::OverlayService& service, NodeId node,
 
 }  // namespace
 
-WalkResult route_to_pseudonym(overlay::OverlayService& service,
+WalkResult route_to_pseudonym(overlay::ShardedOverlayService& service,
                               NodeId source, PseudonymValue target,
                               const WalkOptions& options, Rng& rng) {
   PPO_CHECK_MSG(source < service.num_nodes(), "source out of range");

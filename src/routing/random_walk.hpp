@@ -18,7 +18,7 @@
 #include <cstdint>
 
 #include "common/rng.hpp"
-#include "overlay/service.hpp"
+#include "overlay/sharded_service.hpp"
 
 namespace ppo::routing {
 
@@ -52,7 +52,7 @@ struct WalkResult {
 /// owning `target`. Walks step only across online nodes; delivery
 /// succeeds when a current holder of `target` (or its owner) is
 /// reached while the owner is online.
-WalkResult route_to_pseudonym(overlay::OverlayService& service,
+WalkResult route_to_pseudonym(overlay::ShardedOverlayService& service,
                               NodeId source, PseudonymValue target,
                               const WalkOptions& options, Rng& rng);
 

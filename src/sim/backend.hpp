@@ -1,17 +1,18 @@
 // Scheduling interface of the simulation core, extracted so protocol
-// components (transports, churn, timers, the overlay service) run
-// unchanged on either backend:
-//  - sim::Simulator — the original serial event loop (one global
-//    queue, ties broken by scheduling order);
+// components (transports, churn, timers) run unchanged on either
+// backend:
 //  - sim::ShardedSimulator — the deterministically-parallel core that
 //    partitions actors (nodes) into shards and runs them in lockstep
-//    epochs (sharded_simulator.hpp).
+//    epochs (sharded_simulator.hpp); the overlay service runs on it,
+//    with K = 1 as the serial case;
+//  - sim::Simulator — a single-queue event loop (ties broken by
+//    scheduling order) for work without an overlay: static baselines,
+//    the dissemination flood, and lower-layer unit tests.
 //
-// The one addition over the old Simulator surface is the *actor*
+// The one addition over a plain event-loop surface is the *actor*
 // dimension: schedule_for / schedule_at_for name the node an event
 // belongs to, so a sharded backend can route it to that node's shard.
-// The serial backend ignores the actor, which keeps existing call
-// sites bit-identical.
+// sim::Simulator ignores the actor.
 #pragma once
 
 #include <cstdint>
@@ -35,8 +36,8 @@ using ActorId = std::uint32_t;
 inline constexpr ActorId kExternalActor = 0xFFFFFFFFu;
 
 /// Identity of a scheduled event inside a backend's deterministic
-/// order: the actor context that scheduled it (kExternalActor for the
-/// serial backend and external schedules) and the per-origin sequence
+/// order: the actor context that scheduled it (kExternalActor for
+/// external schedules) and the per-origin sequence
 /// number. Checkpointing components record the ticket of each pending
 /// event they own so restore can re-insert it at the exact same
 /// position in the order (sim ties at equal times break by ticket).
@@ -59,8 +60,8 @@ class SimulatorBackend {
   /// schedule_at_for).
   virtual void schedule_at(Time t, EventFn fn) = 0;
 
-  /// Schedules `fn` at absolute time `t` on `actor`'s queue. The
-  /// serial backend ignores the actor.
+  /// Schedules `fn` at absolute time `t` on `actor`'s queue.
+  /// sim::Simulator ignores the actor.
   virtual void schedule_at_for(ActorId actor, Time t, EventFn fn) = 0;
 
   /// Convenience: `delay` time units from now (delay >= 0).
@@ -70,8 +71,9 @@ class SimulatorBackend {
   /// Ticket of the most recent schedule_* call made from the calling
   /// context (per shard worker on sharded backends). Checkpoint-aware
   /// components query it right after scheduling an event they intend
-  /// to journal. Backends that do not support checkpointing (test
-  /// doubles) keep the default, which returns an empty ticket.
+  /// to journal. Backends that do not support checkpointing
+  /// (sim::Simulator, test doubles) keep the default, which returns an
+  /// empty ticket.
   virtual EventTicket last_ticket() const { return {}; }
 };
 

@@ -16,8 +16,8 @@ class PeriodicTask {
 
   /// Starts `fn` at now + `phase`, then every `period`. When `actor`
   /// is given, every tick is scheduled for that actor — required on
-  /// the sharded backend, where a task must belong to a shard; the
-  /// serial backend ignores it.
+  /// the sharded backend, where a task must belong to a shard;
+  /// sim::Simulator ignores it.
   static PeriodicTask start(SimulatorBackend& sim, Time phase, Time period,
                             EventFn fn, ActorId actor = kExternalActor);
 

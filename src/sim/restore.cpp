@@ -4,22 +4,15 @@
 
 #include "common/check.hpp"
 #include "sim/sharded_simulator.hpp"
-#include "sim/simulator.hpp"
 
 namespace ppo::sim {
 
 void restore_event_any(SimulatorBackend& sim, Time t, EventTicket ticket,
                        ActorId target, EventFn fn) {
-  if (auto* serial = dynamic_cast<Simulator*>(&sim)) {
-    serial->restore_event(t, ticket.seq, std::move(fn));
-    return;
-  }
-  if (auto* sharded = dynamic_cast<ShardedSimulator*>(&sim)) {
-    sharded->restore_event(t, ticket.origin, ticket.seq, target,
-                           std::move(fn));
-    return;
-  }
-  PPO_CHECK_MSG(false, "checkpoint restore needs a real simulator backend");
+  auto* sharded = dynamic_cast<ShardedSimulator*>(&sim);
+  PPO_CHECK_MSG(sharded != nullptr,
+                "checkpoint restore needs the sharded simulator");
+  sharded->restore_event(t, ticket.origin, ticket.seq, target, std::move(fn));
 }
 
 }  // namespace ppo::sim

@@ -1,18 +1,17 @@
 // Backend-generic event restoration. Components journal their pending
 // events as (fire time, ticket, rebuild recipe); at restore they hold
 // only a SimulatorBackend& and need to re-insert the event under its
-// original canonical key on whichever concrete backend is running.
+// original canonical key on the sharded core they run on.
 #pragma once
 
 #include "sim/backend.hpp"
 
 namespace ppo::sim {
 
-/// Re-inserts a pending event on the concrete backend behind `sim`:
-/// Simulator uses the ticket's seq against its global counter,
-/// ShardedSimulator uses the full (origin, seq) key and routes to
-/// `target`'s shard. Aborts on a backend that supports neither
-/// (checkpointing is only defined for the two real cores).
+/// Re-inserts a pending event on the ShardedSimulator behind `sim`
+/// under its full (origin, seq) key, routed to `target`'s shard.
+/// Aborts on any other backend (checkpointing is only defined for the
+/// sharded core).
 void restore_event_any(SimulatorBackend& sim, Time t, EventTicket ticket,
                        ActorId target, EventFn fn);
 

@@ -29,7 +29,7 @@
 // origins are ordered by origin id, not by arrival.
 //
 // run_until(end) is EXCLUSIVE of events at exactly `end` (they run in
-// the next call), unlike the serial Simulator's inclusive run_until:
+// the next call), unlike sim::Simulator's inclusive run_until:
 // a window pops strictly-less-than its end so that an event at a
 // barrier executes in the next window no matter which side of the
 // mailbox it arrived on.

@@ -11,26 +11,7 @@ void Simulator::schedule_at(Time t, EventFn fn) {
   PPO_CHECK_MSG(std::isfinite(t), "event time must be finite");
   PPO_CHECK_MSG(t >= now_, "cannot schedule into the past");
   PPO_CHECK_MSG(static_cast<bool>(fn), "event callback must be callable");
-  last_ticket_ = EventTicket{kExternalActor, next_seq_};
   queue_.push(Entry{t, next_seq_++, std::move(fn)});
-}
-
-void Simulator::restore_state(Time now, std::uint64_t next_seq,
-                              std::uint64_t executed) {
-  PPO_CHECK_MSG(queue_.empty(), "restore_state needs an empty queue");
-  PPO_CHECK_MSG(std::isfinite(now), "restored clock must be finite");
-  now_ = now;
-  next_seq_ = next_seq;
-  executed_ = executed;
-  set_sim_time_context(now_);
-}
-
-void Simulator::restore_event(Time t, std::uint64_t seq, EventFn fn) {
-  PPO_CHECK_MSG(std::isfinite(t) && t > now_,
-                "restored events must lie strictly after the checkpoint");
-  PPO_CHECK_MSG(seq < next_seq_, "restored seq beyond the restored counter");
-  PPO_CHECK_MSG(static_cast<bool>(fn), "event callback must be callable");
-  queue_.push(Entry{t, seq, std::move(fn)});
 }
 
 void Simulator::execute_next() {

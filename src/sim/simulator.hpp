@@ -3,6 +3,11 @@
 // arbitrary times within a shuffling period; this engine provides
 // exactly that: a virtual clock, a stable-ordered pending-event heap
 // and deterministic execution.
+//
+// The overlay service runs on sim::ShardedSimulator (K = 1 is its
+// serial case). This single-queue loop drives the work that has no
+// overlay: the static trust/ER baselines, the dissemination flood,
+// and the lower layers' unit tests.
 #pragma once
 
 #include <cstdint>
@@ -15,9 +20,9 @@
 
 namespace ppo::sim {
 
-/// The serial backend: one global queue, ties broken by scheduling
-/// order. See backend.hpp for the interface contract and
-/// sharded_simulator.hpp for the parallel backend.
+/// One global queue, ties broken by scheduling order. See backend.hpp
+/// for the interface contract and sharded_simulator.hpp for the
+/// backend the overlay service runs on.
 class Simulator final : public SimulatorBackend {
  public:
   Time now() const override { return now_; }
@@ -26,7 +31,7 @@ class Simulator final : public SimulatorBackend {
   /// times run in scheduling order (stable).
   void schedule_at(Time t, EventFn fn) override;
 
-  /// The serial backend has no shards: the actor is ignored.
+  /// One queue, no shards: the actor is ignored.
   void schedule_at_for(ActorId /*actor*/, Time t, EventFn fn) override {
     schedule_at(t, std::move(fn));
   }
@@ -49,22 +54,6 @@ class Simulator final : public SimulatorBackend {
   /// Drops all pending events; the clock is unchanged.
   void clear();
 
-  /// --- checkpoint/restore -------------------------------------------
-  /// The serial backend identifies every event by a single global
-  /// sequence counter; tickets carry kExternalActor as origin.
-  EventTicket last_ticket() const override { return last_ticket_; }
-  std::uint64_t next_seq() const { return next_seq_; }
-
-  /// Overwrites clock and counters from a checkpoint. Only valid on a
-  /// freshly constructed (or clear()ed) simulator with an empty queue.
-  void restore_state(Time now, std::uint64_t next_seq,
-                     std::uint64_t executed);
-
-  /// Re-inserts a pending event at its original position in the
-  /// deterministic order: `seq` is the sequence number the event had
-  /// when first scheduled (must be < the restored next_seq).
-  void restore_event(Time t, std::uint64_t seq, EventFn fn);
-
   static constexpr std::size_t kDefaultEventBudget = 500'000'000;
 
  private:
@@ -85,7 +74,6 @@ class Simulator final : public SimulatorBackend {
   Time now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  EventTicket last_ticket_;
   std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
 };
 

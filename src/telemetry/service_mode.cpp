@@ -21,9 +21,7 @@
 #include "fault/fault_plan.hpp"
 #include "graph/generators.hpp"
 #include "metrics/streaming_connectivity.hpp"
-#include "overlay/service.hpp"
 #include "overlay/sharded_service.hpp"
-#include "sim/simulator.hpp"
 #include "telemetry/http_server.hpp"
 #include "telemetry/prometheus.hpp"
 #include "telemetry/sampler.hpp"
@@ -82,11 +80,11 @@ struct SignalGuard {
 /// Workload identity for Header::config_hash: every option that
 /// shapes the trajectory prefix (graph, churn, protocol parameters,
 /// fault/adversary/observer arms, and the run_until slicing grid —
-/// the sharded backend's lockstep windows re-anchor per driver call,
-/// so a different slice is a different trajectory). Horizon, wall
-/// limit and the telemetry plane are deliberately excluded: a resumed
-/// run may run longer or with telemetry toggled. The shard count is
-/// also excluded — sharded checkpoints restore at any K.
+/// the lockstep windows re-anchor per driver call, so a different
+/// slice is a different trajectory). Horizon, wall limit and the
+/// telemetry plane are deliberately excluded: a resumed run may run
+/// longer or with telemetry toggled. The shard count is also excluded
+/// — checkpoints restore at any K.
 std::uint64_t config_hash(const ServiceModeOptions& opt) {
   ckpt::Writer w;
   w.u64(opt.nodes);
@@ -106,7 +104,7 @@ std::uint64_t config_hash(const ServiceModeOptions& opt) {
 }
 
 /// A validated resume candidate: structurally sound file whose header
-/// matched this run's backend, graph and config.
+/// matched this run's graph and config.
 struct ResumeCandidate {
   std::string path;
   ckpt::Header header;
@@ -266,10 +264,8 @@ ServiceModeReport run_service_mode(const ServiceModeOptions& opt) {
   if (opt.loss > 0.0) {
     fault::FaultPlan plan;
     plan.drop_probability = opt.loss;
-    // Required by the sharded backend (per-link fate streams make the
-    // fault draws K-invariant); the serial transport keys a single
-    // stream and rejects the flag.
-    plan.per_link_streams = opt.shards > 0;
+    // Per-link fate streams make the fault draws K-invariant.
+    plan.per_link_streams = true;
     options.link_faults = plan;
   }
   if (opt.adversary_fraction > 0.0)
@@ -323,13 +319,9 @@ ServiceModeReport run_service_mode(const ServiceModeOptions& opt) {
   SignalGuard signals(opt.handle_signals);
   SliceBaseline baseline;
   metrics::StreamingConnectivity connectivity;
-  const std::size_t cores = opt.shards == 0 ? 1 : opt.shards;
 
   // --- checkpoint plane -------------------------------------------------
   const bool ckpt_armed = !opt.checkpoint_dir.empty();
-  const ckpt::BackendKind backend = opt.shards == 0
-                                        ? ckpt::BackendKind::kSerial
-                                        : ckpt::BackendKind::kSharded;
   std::uint64_t graph_fp = 0;
   std::uint64_t cfg_hash = 0;
   if (ckpt_armed) {
@@ -351,7 +343,8 @@ ServiceModeReport run_service_mode(const ServiceModeOptions& opt) {
       ckpt::LoadResult lr = ckpt::load_file(*it);
       ckpt::Status st = lr.status;
       if (st == ckpt::Status::kOk)
-        st = ckpt::check_compat(lr.header, backend, graph_fp, cfg_hash);
+        st = ckpt::check_compat(lr.header, ckpt::BackendKind::kSharded,
+                                graph_fp, cfg_hash);
       if (st != ckpt::Status::kOk) {
         std::string why = *it + ": " + ckpt::status_name(st);
         if (!lr.message.empty()) why += " — " + lr.message;
@@ -362,11 +355,11 @@ ServiceModeReport run_service_mode(const ServiceModeOptions& opt) {
     }
   }
 
-  const auto write_checkpoint = [&](auto& service, double sim_time) {
+  const auto write_checkpoint = [&](overlay::ShardedOverlayService& service,
+                                    double sim_time) {
     ckpt::Writer w;
     service.save_checkpoint(w);
     ckpt::Header h;
-    h.backend = backend;
     h.shards_hint = static_cast<std::uint32_t>(opt.shards);
     h.graph_fingerprint = graph_fp;
     h.config_hash = cfg_hash;
@@ -383,15 +376,13 @@ ServiceModeReport run_service_mode(const ServiceModeOptions& opt) {
       ++report.checkpoints_written;
   };
 
-  // Generic over the two backends: slice the run, refresh the
-  // registry between slices, stop at the horizon, the wall limit or a
-  // drain signal. A resumed run continues the same slicing grid
-  // (checkpoints land on slice boundaries), which is what keeps the
-  // sharded backend's lockstep windows bit-identical to an
+  // Slice the run, refresh the registry between slices, stop at the
+  // horizon, the wall limit or a drain signal. A resumed run continues
+  // the same slicing grid (checkpoints land on slice boundaries),
+  // which is what keeps the lockstep windows bit-identical to an
   // uninterrupted run.
-  const auto drive = [&](auto& sim, auto& service,
-                         const std::vector<sim::ShardedSimulator::ShardStats>*
-                             stats,
+  const auto drive = [&](sim::ShardedSimulator& sim,
+                         overlay::ShardedOverlayService& service,
                          double start_time, bool was_resumed) {
     if (was_resumed) {
       // Telemetry counters stay process-local: advance the baseline to
@@ -411,11 +402,9 @@ ServiceModeReport run_service_mode(const ServiceModeOptions& opt) {
         final_slice = true;
       }
       sim.run_until(target);
-      static const std::vector<sim::ShardedSimulator::ShardStats> kNone;
       refresh_registry(registry, baseline, sim.events_executed(),
-                       service.protocol_health(),
-                       stats != nullptr ? *stats : kNone,
-                       wall_since(wall_start), target, cores,
+                       service.protocol_health(), sim.shard_stats(),
+                       wall_since(wall_start), target, opt.shards,
                        service.online_count(), service.overlay_edges().size());
       if (ckpt_armed) service.prune_checkpoint_journal();
       // Interval writes include one that lands on the horizon itself —
@@ -457,7 +446,8 @@ ServiceModeReport run_service_mode(const ServiceModeOptions& opt) {
   // Returns the snapshot time, or a negative value when the payload
   // was rejected (the caller reconstructs a fresh service and tries
   // the next-older candidate) .
-  const auto try_restore = [&](auto& service) -> double {
+  const auto try_restore =
+      [&](overlay::ShardedOverlayService& service) -> double {
     ResumeCandidate cand = std::move(candidates.front());
     candidates.erase(candidates.begin());
     try {
@@ -471,44 +461,24 @@ ServiceModeReport run_service_mode(const ServiceModeOptions& opt) {
     }
   };
 
-  if (opt.shards == 0) {
-    for (;;) {
-      sim::Simulator sim;
-      overlay::OverlayService service(sim, trust, model, options,
-                                      Rng(opt.seed));
-      if (ckpt_armed) service.enable_checkpointing();
-      double start_time = 0.0;
-      if (!candidates.empty()) {
-        start_time = try_restore(service);
-        if (start_time < 0.0) continue;  // fresh service, next candidate
-        report.resumed = true;
-        report.resumed_at = start_time;
-      }
-      drive(sim, service, nullptr, start_time, report.resumed);
-      break;
+  for (;;) {
+    sim::ShardedSimulator::Options so =
+        overlay::simulator_options(options, opt.nodes, opt.shards);
+    so.profile = opt.profile;
+    sim::ShardedSimulator sim(so);
+    overlay::ShardedOverlayService service(sim, trust, model, options,
+                                           opt.seed);
+    if (ckpt_armed) service.enable_checkpointing();
+    double start_time = 0.0;
+    if (!candidates.empty()) {
+      start_time = try_restore(service);
+      if (start_time < 0.0) continue;  // fresh service, next candidate
+      report.resumed = true;
+      report.resumed_at = start_time;
     }
-  } else {
-    for (;;) {
-      sim::ShardedSimulator::Options so;
-      so.shards = opt.shards;
-      so.num_actors = opt.nodes;
-      so.lookahead = options.transport.min_latency;
-      so.profile = opt.profile;
-      sim::ShardedSimulator sim(so);
-      overlay::ShardedOverlayService service(sim, trust, model, options,
-                                             opt.seed);
-      if (ckpt_armed) service.enable_checkpointing();
-      double start_time = 0.0;
-      if (!candidates.empty()) {
-        start_time = try_restore(service);
-        if (start_time < 0.0) continue;
-        report.resumed = true;
-        report.resumed_at = start_time;
-      }
-      drive(sim, service, &sim.shard_stats(), start_time, report.resumed);
-      report.shard_stats = sim.shard_stats();
-      break;
-    }
+    drive(sim, service, start_time, report.resumed);
+    report.shard_stats = sim.shard_stats();
+    break;
   }
 
   report.wall_seconds = wall_since(wall_start);

@@ -45,8 +45,8 @@ struct ServiceModeOptions {
   std::size_t nodes = 5000;
   double alpha = 0.5;
   std::uint64_t seed = 42;
-  /// Shard count; 0 selects the legacy serial backend (a different,
-  /// equally valid trajectory — see DESIGN.md).
+  /// Shard count K >= 1 (K threads); the trajectory is bit-identical
+  /// for every K, and K = 1 runs serially on the calling thread.
   std::size_t shards = 4;
   /// Stop after this much sim time (periods). 0 = unbounded; the run
   /// then needs a wall limit.

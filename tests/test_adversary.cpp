@@ -1,6 +1,6 @@
 // Byzantine-adversary layer unit + integration tests: plan validation
 // and deterministic role materialization, the zero-adversary
-// bit-identity guarantee on the serial backend, per-role attack
+// bit-identity guarantee at K = 1, per-role attack
 // accounting, the protocol defenses (merge validation, per-peer rate
 // limiting, sampler slot-churn damping) and the resilience-sweep
 // figure shape.

@@ -5,14 +5,13 @@
 //  2. CheckpointFile     — the sealed file format: atomic save,
 //                          validated load, and the corruption matrix
 //                          (truncated / flipped byte / wrong magic /
-//                          wrong version / graph mismatch / config
-//                          mismatch / backend mismatch), each mapping
-//                          to its own distinct clean Status.
-//  3. CheckpointResume   — the end-to-end property on both backends:
-//                          save mid-run, restore into a fresh
-//                          process-equivalent service, and the resumed
-//                          trajectory is BIT-IDENTICAL to the
-//                          uninterrupted run — serial and sharded, for
+//                          wrong or retired version / graph mismatch /
+//                          config mismatch / unknown backend), each
+//                          mapping to its own distinct clean Status.
+//  3. CheckpointResume   — the end-to-end property: save mid-run,
+//                          restore into a fresh process-equivalent
+//                          service, and the resumed trajectory is
+//                          BIT-IDENTICAL to the uninterrupted run — for
 //                          every K, cross-K, with the all-arms
 //                          workload (loss + defended adversary +
 //                          observer) live. Plus last-good fallback
@@ -218,6 +217,31 @@ TEST(CheckpointFile, CorruptionMatrix) {
   EXPECT_TRUE(ckpt::load_file(good).ok());
 }
 
+// Version 1 carried the serial backend's payloads and the pseudonym
+// availability bit; this build must refuse such a file before parsing
+// a payload byte.
+TEST(CheckpointFile, RejectsVersionOneFile) {
+  const std::string dir = temp_dir("ckpt_v1");
+  const std::string path = write_sample(dir, 0);
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  ASSERT_EQ(ckpt::kVersion, 2u);
+  bytes[4] = 1;  // little-endian u32 version field after the magic
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  const ckpt::LoadResult res = ckpt::load_file(path);
+  EXPECT_EQ(res.status, ckpt::Status::kBadVersion);
+  EXPECT_NE(res.message.find("format version 1"), std::string::npos)
+      << res.message;
+  EXPECT_TRUE(res.payload.empty());
+}
+
 TEST(CheckpointFile, CompatGateDistinguishesMismatches) {
   const ckpt::Header h = sample_header();
   EXPECT_EQ(ckpt::check_compat(h, ckpt::BackendKind::kSharded, 0x1111,
@@ -229,7 +253,9 @@ TEST(CheckpointFile, CompatGateDistinguishesMismatches) {
   EXPECT_EQ(ckpt::check_compat(h, ckpt::BackendKind::kSharded, 0x1111,
                                0xBAD),
             ckpt::Status::kConfigMismatch);
-  EXPECT_EQ(ckpt::check_compat(h, ckpt::BackendKind::kSerial, 0x1111,
+  ckpt::Header other = h;  // a backend byte this build does not know
+  other.backend = static_cast<ckpt::BackendKind>(0);
+  EXPECT_EQ(ckpt::check_compat(other, ckpt::BackendKind::kSharded, 0x1111,
                                0x2222),
             ckpt::Status::kUnsupported);
 }
@@ -328,10 +354,6 @@ void check_kill_and_resume(std::size_t save_shards,
   expect_same_trajectory(reference, resumed);
 }
 
-TEST(CheckpointResume, SerialBitIdentical) {
-  check_kill_and_resume(0, 0, "ckpt_resume_serial");
-}
-
 TEST(CheckpointResume, ShardedK1BitIdentical) {
   check_kill_and_resume(1, 1, "ckpt_resume_k1");
 }
@@ -340,19 +362,14 @@ TEST(CheckpointResume, ShardedK4BitIdentical) {
   check_kill_and_resume(4, 4, "ckpt_resume_k4");
 }
 
-TEST(CheckpointResume, SerialRenewalWaveCrossesRestore) {
+TEST(CheckpointResume, ShardedRenewalWaveCrossesRestore) {
   // Regression: every initially-online node mints its pseudonym at
   // t=0, so all renewal alarms fire at exactly lifetime + 1e-9 — a
   // wall of events tied in time. Their journaled tickets must carry
-  // the original sequence numbers; a journal of default {0,0} tickets
-  // lets the priority queue break the tie in unspecified order, which
-  // permutes the shared-rng mint sequence across owners and silently
-  // diverges the trajectory. Lifetime 6 puts the wave at t≈6, after
-  // the t=5 checkpoint and before the horizon.
-  check_kill_and_resume(0, 0, "ckpt_resume_renewal_serial", 6.0);
-}
-
-TEST(CheckpointResume, ShardedRenewalWaveCrossesRestore) {
+  // the original (origin, seq); a journal of default tickets lets the
+  // queue break the tie in another order and silently diverges the
+  // trajectory. Lifetime 6 puts the wave at t≈6, after the t=5
+  // checkpoint and before the horizon.
   check_kill_and_resume(4, 4, "ckpt_resume_renewal_k4", 6.0);
 }
 
@@ -366,10 +383,10 @@ TEST(CheckpointResume, CrossShardCountK4ToK2) {
 TEST(CheckpointResume, FallsBackPastCorruptNewest) {
   const std::string dir = temp_dir("ckpt_fallback");
 
-  auto straight = resume_workload(0);
+  auto straight = resume_workload(1);
   const auto reference = telemetry::run_service_mode(straight);
 
-  auto first = resume_workload(0);
+  auto first = resume_workload(1);
   first.horizon = 7.0;
   first.checkpoint_every = 3.0;  // rounds up to slices: t=3 and t=6
   first.checkpoint_dir = dir;
@@ -392,7 +409,7 @@ TEST(CheckpointResume, FallsBackPastCorruptNewest) {
     f.put(c);
   }
 
-  auto second = resume_workload(0);
+  auto second = resume_workload(1);
   second.checkpoint_dir = dir;
   second.resume = true;
   const auto resumed = telemetry::run_service_mode(second);
@@ -410,7 +427,7 @@ TEST(CheckpointResume, ColdStartsWhenNothingSurvives) {
     std::ofstream out(ckpt::checkpoint_path(dir, 1), std::ios::binary);
     out << "garbage, not a checkpoint";
   }
-  auto opt = resume_workload(0);
+  auto opt = resume_workload(1);
   opt.checkpoint_dir = dir;
   opt.resume = true;
   const auto run = telemetry::run_service_mode(opt);
@@ -419,19 +436,19 @@ TEST(CheckpointResume, ColdStartsWhenNothingSurvives) {
   EXPECT_NE(run.rejected_checkpoints[0].find("bad_magic"),
             std::string::npos);
   // ... and the cold start is still the canonical trajectory.
-  const auto reference = telemetry::run_service_mode(resume_workload(0));
+  const auto reference = telemetry::run_service_mode(resume_workload(1));
   expect_same_trajectory(reference, run);
 }
 
 TEST(CheckpointResume, RejectsCheckpointFromDifferentWorkload) {
   const std::string dir = temp_dir("ckpt_wrong_config");
-  auto first = resume_workload(0);
+  auto first = resume_workload(1);
   first.horizon = 5.0;
   first.checkpoint_every = 5.0;
   first.checkpoint_dir = dir;
   ASSERT_EQ(telemetry::run_service_mode(first).checkpoints_written, 1u);
 
-  auto second = resume_workload(0);
+  auto second = resume_workload(1);
   second.checkpoint_dir = dir;
   second.resume = true;
   second.loss = 0.2;  // different workload → config_mismatch
@@ -439,24 +456,6 @@ TEST(CheckpointResume, RejectsCheckpointFromDifferentWorkload) {
   EXPECT_FALSE(run.resumed);
   ASSERT_EQ(run.rejected_checkpoints.size(), 1u);
   EXPECT_NE(run.rejected_checkpoints[0].find("config_mismatch"),
-            std::string::npos);
-}
-
-TEST(CheckpointResume, RejectsCheckpointFromOtherBackend) {
-  const std::string dir = temp_dir("ckpt_wrong_backend");
-  auto first = resume_workload(4);
-  first.horizon = 5.0;
-  first.checkpoint_every = 5.0;
-  first.checkpoint_dir = dir;
-  ASSERT_EQ(telemetry::run_service_mode(first).checkpoints_written, 1u);
-
-  auto second = resume_workload(0);  // serial cannot eat a sharded file
-  second.checkpoint_dir = dir;
-  second.resume = true;
-  const auto run = telemetry::run_service_mode(second);
-  EXPECT_FALSE(run.resumed);
-  ASSERT_EQ(run.rejected_checkpoints.size(), 1u);
-  EXPECT_NE(run.rejected_checkpoints[0].find("unsupported"),
             std::string::npos);
 }
 

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/cli.hpp"
 #include "common/check.hpp"
@@ -56,6 +58,60 @@ TEST(Cli, PositionalArguments) {
 TEST(Cli, MalformedNumberThrows) {
   const Cli cli = make_cli({"--nodes=abc"});
   EXPECT_THROW(cli.get_int("nodes", 0), CheckError);
+}
+
+/// The CheckError message of `fn`, or "" when it does not throw.
+template <typename Fn>
+std::string check_message(Fn&& fn) {
+  try {
+    fn();
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Flags that size thread pools and simulators (--jobs, --shards,
+// --shard-list) are range-checked at parse time, before anything is
+// built from them; the error names the flag.
+TEST(Cli, CountFlagsParse) {
+  const Cli cli = make_cli({"--jobs=0", "--shards", "4",
+                            "--shard-list=1,2,,8"});
+  EXPECT_EQ(cli.get_size("jobs", 3), 0u);
+  EXPECT_EQ(cli.get_size("shards", 1, 1), 4u);
+  EXPECT_EQ(cli.get_size("missing", 7, 1), 7u);
+  EXPECT_EQ(cli.get_size_list("shard-list", "1", 1),
+            (std::vector<std::size_t>{1, 2, 8}));
+  EXPECT_EQ(cli.get_size_list("missing", "1,2,4", 1),
+            (std::vector<std::size_t>{1, 2, 4}));
+}
+
+TEST(Cli, NegativeJobsThrows) {
+  const Cli cli = make_cli({"--jobs=-1"});
+  const std::string msg = check_message([&] { cli.get_size("jobs", 0); });
+  EXPECT_NE(msg.find("--jobs"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("-1"), std::string::npos) << msg;
+}
+
+TEST(Cli, ShardsBelowOneThrow) {
+  for (const char* arg : {"--shards=0", "--shards=-1", "--shards=two"}) {
+    const Cli cli = make_cli({arg});
+    const std::string msg =
+        check_message([&] { cli.get_size("shards", 1, 1); });
+    EXPECT_NE(msg.find("--shards"), std::string::npos) << arg << ": " << msg;
+  }
+}
+
+TEST(Cli, NonIntegralShardListEntriesThrow) {
+  for (const char* arg :
+       {"--shard-list=-1", "--shard-list=1.5", "--shard-list=1,2.0",
+        "--shard-list=0,1", "--shard-list=1,x"}) {
+    const Cli cli = make_cli({arg});
+    const std::string msg =
+        check_message([&] { cli.get_size_list("shard-list", "1", 1); });
+    EXPECT_NE(msg.find("--shard-list"), std::string::npos)
+        << arg << ": " << msg;
+  }
 }
 
 TEST(Cli, EnvironmentFallback) {

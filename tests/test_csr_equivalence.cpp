@@ -25,10 +25,8 @@
 #include "graph/sampling.hpp"
 #include "graph/spectral.hpp"
 #include "metrics/streaming_connectivity.hpp"
-#include "overlay/service.hpp"
 #include "overlay/sharded_service.hpp"
 #include "sim/sharded_simulator.hpp"
-#include "sim/simulator.hpp"
 
 namespace ppo::graph {
 namespace {
@@ -202,18 +200,18 @@ TEST(CsrEquivalence, UnsortedAssignMatchesSortedForIterationMetrics) {
 /// Streaming union-find == batch component decomposition, sampled
 /// across a churning overlay run (the Figure 8 measurement path).
 TEST(CsrEquivalence, StreamingConnectivityMatchesBatchAcrossChurn) {
-  sim::Simulator sim;
   Rng grng(5 ^ 0x50C1A1);
   const Graph trust = barabasi_albert(64, 2, grng);
   const churn::ExponentialChurn model =
       churn::ExponentialChurn::from_availability(0.5, 30.0);
-  overlay::OverlayParams params;
-  params.cache_size = 30;
-  params.shuffle_length = 6;
-  params.target_links = 8;
-  params.pseudonym_lifetime = 60.0;
-  overlay::OverlayService service(sim, trust, model,
-                                  {.params = params, .transport = {}}, Rng(5));
+  overlay::OverlayServiceOptions options;
+  options.params.cache_size = 30;
+  options.params.shuffle_length = 6;
+  options.params.target_links = 8;
+  options.params.pseudonym_lifetime = 60.0;
+  sim::ShardedSimulator sim(
+      overlay::simulator_options(options, trust.num_nodes()));
+  overlay::ShardedOverlayService service(sim, trust, model, options, 5);
   service.start();
 
   metrics::StreamingConnectivity streaming;
@@ -235,19 +233,18 @@ TEST(CsrEquivalence, StreamingConnectivityMatchesBatchAcrossChurn) {
 /// every sample, including after expiries and slot churn invalidate
 /// cached slices.
 TEST(CsrEquivalence, OverlayEdgeViewMatchesSnapshotAcrossChurn) {
-  sim::Simulator sim;
   Rng grng(11 ^ 0x50C1A1);
   const Graph trust = barabasi_albert(48, 2, grng);
   const churn::ExponentialChurn model =
       churn::ExponentialChurn::from_availability(0.6, 20.0);
-  overlay::OverlayParams params;
-  params.cache_size = 24;
-  params.shuffle_length = 5;
-  params.target_links = 8;
-  params.pseudonym_lifetime = 15.0;  // short TTL: exercise expiry paths
-  overlay::OverlayService service(sim, trust, model,
-                                  {.params = params, .transport = {}},
-                                  Rng(11));
+  overlay::OverlayServiceOptions options;
+  options.params.cache_size = 24;
+  options.params.shuffle_length = 5;
+  options.params.target_links = 8;
+  options.params.pseudonym_lifetime = 15.0;  // short TTL: expiry paths
+  sim::ShardedSimulator sim(
+      overlay::simulator_options(options, trust.num_nodes()));
+  overlay::ShardedOverlayService service(sim, trust, model, options, 11);
   service.start();
 
   for (double t = 3.0; t <= 45.0; t += 3.0) {
@@ -255,7 +252,7 @@ TEST(CsrEquivalence, OverlayEdgeViewMatchesSnapshotAcrossChurn) {
     const auto edges = service.overlay_edges();
     const std::vector<std::pair<NodeId, NodeId>> from_view(edges.begin(),
                                                            edges.end());
-    // overlay_snapshot() resolves through the mutating registry path
+    // overlay_snapshot() resolves every link against the registry
     // and rebuilds from scratch — the ground truth the view memoizes.
     const auto from_snapshot = service.overlay_snapshot().edges();
     EXPECT_EQ(from_view, from_snapshot) << "t=" << t;
@@ -275,11 +272,8 @@ TEST(CsrEquivalence, ShardedOverlayEdgeViewMatchesSnapshotAcrossChurn) {
   options.params.shuffle_length = 5;
   options.params.target_links = 8;
   options.params.pseudonym_lifetime = 15.0;  // short TTL: expiry paths
-  sim::ShardedSimulator::Options so;
-  so.shards = 4;
-  so.num_actors = trust.num_nodes();
-  so.lookahead = options.transport.min_latency;
-  sim::ShardedSimulator sim(so);
+  sim::ShardedSimulator sim(
+      overlay::simulator_options(options, trust.num_nodes(), 4));
   overlay::ShardedOverlayService service(sim, trust, model, options, 13);
   service.start();
 

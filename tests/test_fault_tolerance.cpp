@@ -4,7 +4,7 @@
 // fault-free ones, the fault sweep is jobs-invariant and repeatable,
 // retry/backoff buys back graceful degradation under loss, the
 // pseudonym service survives blackouts, and the overlay over the mix
-// network recovers from relay crash/revive cycles.
+// network recovers from relay outage windows at every shard count.
 #include <gtest/gtest.h>
 
 #include <iostream>
@@ -12,10 +12,8 @@
 #include "churn/churn_model.hpp"
 #include "experiments/figure_json.hpp"
 #include "experiments/figures.hpp"
-#include "fault/fault_injector.hpp"
-#include "sim/simulator.hpp"
 #include "graph/generators.hpp"
-#include "overlay/service.hpp"
+#include "overlay/sharded_service.hpp"
 #include "privacylink/mix_transport.hpp"
 
 namespace ppo::experiments {
@@ -50,6 +48,7 @@ fault::FaultPlan loss_plan(double loss, std::uint64_t seed) {
   fault::FaultPlan plan;
   plan.drop_probability = loss;
   plan.seed = seed;
+  plan.per_link_streams = true;
   return plan;
 }
 
@@ -87,6 +86,7 @@ TEST(FaultTolerance, ZeroFaultPlanIsBitIdenticalToBaseline) {
   OverlayScenario idle = base;
   fault::FaultPlan far_future;
   far_future.link_outages.push_back({1e9, 1e9 + 1.0});
+  far_future.per_link_streams = true;
   idle.faults = far_future;  // enabled() == true: wraps, never fires
   const auto with_idle = run_overlay(ring, idle);
   expect_same_run(bare, with_idle);
@@ -96,6 +96,10 @@ TEST(FaultTolerance, ZeroFaultPlanIsBitIdenticalToBaseline) {
 /// Acceptance: at 10% loss and alpha = 0.5, the retry machinery keeps
 /// the disconnected fraction within 2x of the lossless run, while the
 /// same loss without retries measurably degrades the protocol.
+/// Connectivity of a 64-node ring under churn is dominated by the churn
+/// draw, so whether no-retry ends up no better than retry is a coin flip
+/// at any one seed (it held at 78 % of seeds 1-80); that ordering is
+/// checked on the mean over 30 seeds.
 TEST(FaultTolerance, RetryKeepsConnectivityUnderModerateLoss) {
   const graph::Graph ring = graph::ring(64);
   const OverlayScenario base = ring_scenario(7);
@@ -132,9 +136,22 @@ TEST(FaultTolerance, RetryKeepsConnectivityUnderModerateLoss) {
   EXPECT_GT(with_retry.health.request_timeouts, 0u);
   // while the unhardened protocol visibly suffers.
   EXPECT_EQ(without_retry.health.request_retries, 0u);
-  EXPECT_GE(noretry_frac, retry_frac);
   EXPECT_GT(without_retry.health.exchanges_aborted,
             lossless.health.exchanges_aborted);
+  double retry_sum = 0.0, noretry_sum = 0.0;
+  for (std::uint64_t seed = 7; seed < 7 + 30; ++seed) {
+    OverlayScenario r = ring_scenario(seed);
+    r.faults = loss_plan(0.1, 0xFA11);
+    enable_retries(r.params, 2);
+    OverlayScenario n = r;
+    enable_retries(n.params, 0);
+    retry_sum += run_overlay(ring, r).stats.frac_disconnected.mean();
+    noretry_sum += run_overlay(ring, n).stats.frac_disconnected.mean();
+  }
+  std::cerr << "mean frac_disconnected over 30 seeds retry="
+            << retry_sum / 30.0 << " no-retry=" << noretry_sum / 30.0
+            << "\n";
+  EXPECT_GE(noretry_sum, retry_sum);
 }
 
 TEST(FaultTolerance, TimeoutsAreScopedToTheirExchange) {
@@ -261,11 +278,12 @@ TEST(FaultTolerance, PseudonymBlackoutDegradesGracefully) {
 }
 
 /// Satellite: the overlay over the full mix-network stack recovers
-/// after relays crash and revive. While too few relays are alive to
-/// build circuits, sends fail gracefully (counted, not fatal); once
-/// revived, shuffle exchanges resume.
+/// after relays crash and revive. Relay outages are data
+/// (MixNetwork::schedule_crash windows), so the run is the same at
+/// every shard count. While too few relays are alive to build
+/// circuits, sends fail gracefully (counted, not fatal); once the
+/// window closes, shuffle exchanges resume.
 TEST(FaultTolerance, MixRelayCrashReviveRecovery) {
-  sim::Simulator sim;
   const graph::Graph trust = graph::ring(12);
   churn::ExponentialChurn model(
       churn::ExponentialChurn::from_availability(0.999, 30.0));
@@ -275,39 +293,46 @@ TEST(FaultTolerance, MixRelayCrashReviveRecovery) {
   options.use_mix_network = true;
   options.mix.num_relays = 4;
   options.mix_transport.circuit_hops = 3;
-  overlay::OverlayService service(sim, trust, model, options, Rng(3));
 
-  fault::ServiceFaults faults;
-  faults.relay_crashes.push_back({0, 10.0, 20.0});
-  faults.relay_crashes.push_back({1, 10.0, 20.0});
-  fault::FaultInjector::Hooks hooks;
-  hooks.mix = service.mutable_mix_network();
-  fault::FaultInjector injector(sim, faults, hooks);
-  injector.arm();
-  service.start();
+  struct Sample {
+    std::uint64_t circuit_failures = 0;
+    std::uint64_t completed = 0;
+    std::size_t live_relays = 0;
+    bool operator==(const Sample&) const = default;
+  };
+  const auto run = [&](std::size_t shards) {
+    sim::ShardedSimulator sim(
+        overlay::simulator_options(options, trust.num_nodes(), shards));
+    overlay::ShardedOverlayService service(sim, trust, model, options, 3);
+    service.mutable_mix_network()->schedule_crash(0, 10.0, 20.0);
+    service.mutable_mix_network()->schedule_crash(1, 10.0, 20.0);
+    service.start();
+    const auto* mix_transport =
+        dynamic_cast<const privacylink::MixTransport*>(&service.transport());
+    EXPECT_NE(mix_transport, nullptr);
+    std::vector<Sample> samples;
+    for (const double t : {10.5, 20.0, 40.0}) {
+      sim.run_until(t);
+      samples.push_back({mix_transport->circuit_failures(),
+                         service.total_counters().shuffles_completed,
+                         service.mix_network()->live_relay_count()});
+    }
+    return samples;
+  };
 
-  const auto* mix_transport =
-      dynamic_cast<const privacylink::MixTransport*>(&service.transport());
-  ASSERT_NE(mix_transport, nullptr);
-
-  sim.run_until(10.5);
-  const std::uint64_t completed_before =
-      service.total_counters().shuffles_completed;
-  EXPECT_GT(completed_before, 0u);
-  EXPECT_EQ(service.mix_network()->live_relay_count(), 2u);
-
-  sim.run_until(20.0);
+  const std::vector<Sample> k1 = run(1);
+  ASSERT_EQ(k1.size(), 3u);
+  EXPECT_GT(k1[0].completed, 0u);
+  EXPECT_EQ(k1[0].live_relays, 2u);
   // Two live relays cannot form 3-hop circuits: every send in the
   // outage window was counted and lost instead of aborting the run.
-  EXPECT_GT(mix_transport->circuit_failures(), 0u);
-  const std::uint64_t completed_during =
-      service.total_counters().shuffles_completed;
-
-  sim.run_until(40.0);
-  EXPECT_EQ(service.mix_network()->live_relay_count(), 4u);
-  EXPECT_GT(service.total_counters().shuffles_completed, completed_during);
-  EXPECT_EQ(injector.counters().relays_crashed, 2u);
-  EXPECT_EQ(injector.counters().relays_revived, 2u);
+  EXPECT_GT(k1[1].circuit_failures, k1[0].circuit_failures);
+  EXPECT_EQ(k1[1].live_relays, 4u);  // [10, 20) is half-open
+  EXPECT_EQ(k1[2].live_relays, 4u);
+  EXPECT_GT(k1[2].completed, k1[1].completed);
+  EXPECT_EQ(k1[2].circuit_failures, k1[1].circuit_failures);
+  // Same circuit failures, completions and live relays at K = 2.
+  EXPECT_EQ(run(2), k1);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Fault-injection layer unit tests: FaultPlan validation, the
 // FaultyTransport decorator's fault semantics, its zero-fault no-op
 // guarantee and the LinkTransport drop-accounting invariant, plus the
-// FaultInjector's blackout scheduling.
+// FaultInjector's node-crash scheduling.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -297,48 +297,6 @@ TEST(FaultyTransport, FaultPatternIsDeterministic) {
   EXPECT_EQ(a.second, b.second);
 }
 
-TEST(FaultInjector, BlackoutTogglesAvailabilityHook) {
-  sim::Simulator sim;
-  ServiceFaults faults;
-  faults.pseudonym_blackouts.push_back({2.0, 4.0});
-  faults.pseudonym_blackouts.push_back({3.0, 5.0});  // overlapping
-
-  bool available = true;
-  std::vector<std::pair<double, bool>> toggles;
-  FaultInjector::Hooks hooks;
-  hooks.set_pseudonym_service_available = [&](bool a) {
-    available = a;
-    toggles.emplace_back(sim.now(), a);
-  };
-  FaultInjector injector(sim, faults, hooks);
-  injector.arm();
-
-  sim.run_until(2.5);
-  EXPECT_FALSE(available);
-  EXPECT_TRUE(injector.blackout_active());
-  sim.run_until(4.5);  // first window closed, second still open
-  EXPECT_FALSE(available);
-  sim.run_all();
-  EXPECT_TRUE(available);
-  EXPECT_FALSE(injector.blackout_active());
-  // Exactly one down-toggle (at 2.0) and one up-toggle (at 5.0):
-  // overlapping windows do not flap the service.
-  ASSERT_EQ(toggles.size(), 2u);
-  EXPECT_DOUBLE_EQ(toggles[0].first, 2.0);
-  EXPECT_FALSE(toggles[0].second);
-  EXPECT_DOUBLE_EQ(toggles[1].first, 5.0);
-  EXPECT_TRUE(toggles[1].second);
-  EXPECT_EQ(injector.counters().blackouts_started, 2u);
-  EXPECT_EQ(injector.counters().blackouts_ended, 2u);
-}
-
-TEST(FaultInjector, BlackoutsRequireTheHook) {
-  sim::Simulator sim;
-  ServiceFaults faults;
-  faults.pseudonym_blackouts.push_back({1.0, 2.0});
-  EXPECT_THROW(FaultInjector(sim, faults, {}), CheckError);
-}
-
 TEST(FaultPlan, ValidatesLinkDropOverridesAndCrashes) {
   FaultPlan bad_prob;
   bad_prob.link_drop_overrides.push_back({0, 1, 1.5});
@@ -500,7 +458,7 @@ TEST(FaultInjector, NodeCrashesDriveTheHooks) {
     revived.emplace_back(sim.now(), v);
   };
   std::vector<NodeCrashEvent> events{{3, 2.0, 6.0}, {7, 4.0, -1.0}};
-  FaultInjector injector(sim, {}, hooks, events);
+  FaultInjector injector(sim, hooks, events);
   injector.arm();
   EXPECT_EQ(injector.counters().nodes_crashed, 2u);
   EXPECT_EQ(injector.counters().nodes_revived, 1u);
@@ -516,7 +474,7 @@ TEST(FaultInjector, NodeCrashesDriveTheHooks) {
 TEST(FaultInjector, NodeCrashesRequireTheHooks) {
   sim::Simulator sim;
   std::vector<NodeCrashEvent> events{{1, 2.0, -1.0}};
-  EXPECT_THROW(FaultInjector(sim, {}, {}, events), CheckError);
+  EXPECT_THROW(FaultInjector(sim, {}, events), CheckError);
 }
 
 }  // namespace

@@ -5,16 +5,15 @@
 #include "apps/groupchat.hpp"
 #include "churn/churn_model.hpp"
 #include "graph/generators.hpp"
-#include "sim/simulator.hpp"
 
 namespace ppo::apps {
 namespace {
 
 struct Fixture {
-  sim::Simulator sim;
   graph::Graph trust;
   churn::ExponentialChurn model;
-  overlay::OverlayService service;
+  sim::ShardedSimulator sim;
+  overlay::ShardedOverlayService service;
   GroupChat chat;
 
   explicit Fixture(std::size_t n, double alpha, std::uint64_t seed = 3)
@@ -23,11 +22,12 @@ struct Fixture {
           return graph::barabasi_albert(n, 2, g);
         }()),
         model(churn::ExponentialChurn::from_availability(alpha, 30.0)),
+        sim(overlay::simulator_options({}, n)),
         service(sim, trust, model,
                 {.params = {.cache_size = 60,
                             .shuffle_length = 8,
                             .target_links = 12}},
-                Rng(seed + 1)),
+                seed + 1),
         chat(sim, service, {}, Rng(seed + 2)) {
     service.start();
     chat.start();

@@ -5,7 +5,7 @@
 #include "churn/churn_driver.hpp"
 #include "churn/churn_model.hpp"
 #include "graph/generators.hpp"
-#include "overlay/service.hpp"
+#include "overlay/sharded_service.hpp"
 #include "sim/simulator.hpp"
 
 namespace ppo::churn {
@@ -57,7 +57,6 @@ TEST(HeterogeneousChurn, AddNodeInheritsOrOverrides) {
 }
 
 TEST(HeterogeneousChurn, OverlayServiceSupportsMixedPopulations) {
-  sim::Simulator sim;
   Rng grng(3);
   const graph::Graph trust = graph::barabasi_albert(60, 2, grng);
   const auto stable = ExponentialChurn::from_availability(0.9, 30.0);
@@ -66,11 +65,11 @@ TEST(HeterogeneousChurn, OverlayServiceSupportsMixedPopulations) {
   for (NodeId v = 0; v < 60; ++v)
     models.push_back(v % 2 == 0 ? &stable : &mobile);
 
-  overlay::OverlayService service(sim, trust, std::move(models),
-                                  {.params = {.cache_size = 60,
-                                              .shuffle_length = 8,
-                                              .target_links = 12}},
-                                  Rng(4));
+  const overlay::OverlayServiceOptions options{
+      .params = {.cache_size = 60, .shuffle_length = 8, .target_links = 12}};
+  sim::ShardedSimulator sim(overlay::simulator_options(options, 60));
+  overlay::ShardedOverlayService service(sim, trust, std::move(models),
+                                         options, 4);
   service.start();
   sim.run_until(150.0);
   // The service runs and the stable half dominates the online set.
@@ -84,13 +83,13 @@ TEST(HeterogeneousChurn, OverlayServiceSupportsMixedPopulations) {
 }
 
 TEST(HeterogeneousChurn, SizeMismatchRejected) {
-  sim::Simulator sim;
   Rng grng(5);
   const graph::Graph trust = graph::barabasi_albert(10, 2, grng);
+  sim::ShardedSimulator sim(overlay::simulator_options({}, 10));
   const auto model = ExponentialChurn::from_availability(0.5, 30.0);
   std::vector<const ChurnModel*> models(7, &model);  // != 10
-  EXPECT_THROW(overlay::OverlayService(sim, trust, std::move(models), {},
-                                       Rng(6)),
+  EXPECT_THROW(overlay::ShardedOverlayService(sim, trust, std::move(models),
+                                              {}, 6),
                CheckError);
 }
 

@@ -46,7 +46,7 @@ TEST(MixNetwork, DeadRelayDropsTraffic) {
   MixNetwork mix(sim, {.num_relays = 4}, Rng(5));
   Rng rng(6);
   const std::vector<RelayId> route{0, 1, 2};
-  mix.fail_relay(1);
+  mix.schedule_crash(1, 0.0);  // down from the start, never revived
   bool delivered = false;
   mix.send(route, crypto::to_bytes("x"),
            [&](crypto::Bytes) { delivered = true; }, rng);
@@ -64,15 +64,16 @@ TEST(MixNetwork, RevivedRelayForwardsAgainWithSameIdentity) {
   const std::vector<RelayId> route{0, 1, 2};
 
   const auto key_before = mix.relay_public_key(1);
-  mix.fail_relay(1);
+  mix.schedule_crash(1, 0.0, 1.0);  // down during [0, 1)
   EXPECT_EQ(mix.live_relay_count(), 3u);
   bool delivered = false;
   mix.send(route, crypto::to_bytes("x"),
            [&](crypto::Bytes) { delivered = true; }, rng);
   sim.run_all();
   EXPECT_FALSE(delivered);
+  EXPECT_FALSE(mix.relay_alive(1));
 
-  mix.revive_relay(1);
+  sim.run_until(1.0);  // the outage window closes
   EXPECT_TRUE(mix.relay_alive(1));
   EXPECT_EQ(mix.live_relay_count(), 4u);
   // A restart, not a fresh identity: the keypair survives the crash,
@@ -88,8 +89,8 @@ TEST(MixNetwork, RandomRouteAvoidsDeadRelays) {
   sim::Simulator sim;
   MixNetwork mix(sim, {.num_relays = 5}, Rng(7));
   Rng rng(8);
-  mix.fail_relay(0);
-  mix.fail_relay(1);
+  mix.schedule_crash(0, 0.0);
+  mix.schedule_crash(1, 0.0);
   for (int i = 0; i < 50; ++i) {
     for (const RelayId r : mix.random_route(3, rng)) {
       EXPECT_GE(r, 2u);

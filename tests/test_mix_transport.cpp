@@ -5,7 +5,7 @@
 #include "churn/churn_model.hpp"
 #include "graph/components.hpp"
 #include "graph/generators.hpp"
-#include "overlay/service.hpp"
+#include "overlay/sharded_service.hpp"
 #include "privacylink/mix_transport.hpp"
 #include "sim/simulator.hpp"
 
@@ -55,8 +55,9 @@ TEST(MixTransport, RelayFailureLosesInFlightTraffic) {
                          [&](graph::NodeId v) { return online[v] != 0; });
   bool delivered = false;
   transport.send(0, 1, [&] { delivered = true; });
-  mix.fail_relay(0);
-  mix.fail_relay(1);
+  // Both relays go down after the send, before the entry hop lands.
+  mix.schedule_crash(0, 0.001);
+  mix.schedule_crash(1, 0.001);
   sim.run_all();
   EXPECT_FALSE(delivered);
 }
@@ -65,7 +66,6 @@ TEST(FullStack, OverlayProtocolRunsOverRealOnionCircuits) {
   // End-to-end: 24 nodes, every shuffle message onion-wrapped through
   // 2-hop circuits with real X25519 + AEAD crypto; the overlay still
   // forms (pseudonym links appear, graph densifies beyond trust).
-  sim::Simulator sim;
   Rng grng(7);
   const graph::Graph trust = graph::barabasi_albert(24, 2, grng);
   const auto model = churn::ExponentialChurn::from_availability(1.0, 30.0);
@@ -78,7 +78,9 @@ TEST(FullStack, OverlayProtocolRunsOverRealOnionCircuits) {
   options.mix.num_relays = 8;
   options.mix_transport.circuit_hops = 2;
 
-  overlay::OverlayService service(sim, trust, model, options, Rng(8));
+  sim::ShardedSimulator sim(
+      overlay::simulator_options(options, trust.num_nodes()));
+  overlay::ShardedOverlayService service(sim, trust, model, options, 8);
   service.start();
   sim.run_until(25.0);
 

@@ -8,8 +8,7 @@
 #include "churn/churn_model.hpp"
 #include "graph/components.hpp"
 #include "graph/generators.hpp"
-#include "overlay/service.hpp"
-#include "sim/simulator.hpp"
+#include "overlay/sharded_service.hpp"
 
 namespace ppo::overlay {
 namespace {
@@ -20,7 +19,6 @@ class ProtocolParamSweep : public ::testing::TestWithParam<ParamTuple> {};
 
 TEST_P(ProtocolParamSweep, InvariantsAcrossTunables) {
   const auto [cache_size, shuffle_length, target_links] = GetParam();
-  sim::Simulator sim;
   Rng grng(7);
   const graph::Graph trust = graph::barabasi_albert(50, 2, grng);
   const auto model = churn::ExponentialChurn::from_availability(0.7, 30.0);
@@ -29,7 +27,8 @@ TEST_P(ProtocolParamSweep, InvariantsAcrossTunables) {
   params.cache_size = cache_size;
   params.shuffle_length = shuffle_length;
   params.target_links = target_links;
-  OverlayService service(sim, trust, model, {.params = params}, Rng(9));
+  sim::ShardedSimulator sim(simulator_options({}, trust.num_nodes()));
+  ShardedOverlayService service(sim, trust, model, {.params = params}, 9);
   service.start();
   sim.run_until(80.0);
 
@@ -69,7 +68,6 @@ TEST_P(PseudonymWidthSweep, NarrowValueSpacesStillWork) {
   // Small p makes values dense (ties possible, collisions frequent);
   // the §III-D tie-break and minting retry must keep things sound.
   const unsigned bits = GetParam();
-  sim::Simulator sim;
   Rng grng(11);
   const graph::Graph trust = graph::barabasi_albert(30, 2, grng);
   const auto model = churn::ExponentialChurn::from_availability(1.0, 30.0);
@@ -78,7 +76,8 @@ TEST_P(PseudonymWidthSweep, NarrowValueSpacesStillWork) {
   params.shuffle_length = 6;
   params.target_links = 8;
   params.pseudonym_bits = bits;
-  OverlayService service(sim, trust, model, {.params = params}, Rng(13));
+  sim::ShardedSimulator sim(simulator_options({}, trust.num_nodes()));
+  ShardedOverlayService service(sim, trust, model, {.params = params}, 13);
   service.start();
   sim.run_until(40.0);
 

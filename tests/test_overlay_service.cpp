@@ -1,5 +1,6 @@
 // Full-system integration: the overlay service on small trust graphs
-// under churn. Asserts the paper's core claims at reduced scale.
+// under churn, at K = 1. Asserts the paper's core claims at reduced
+// scale.
 #include <gtest/gtest.h>
 
 #include "churn/churn_model.hpp"
@@ -7,8 +8,7 @@
 #include "graph/degree.hpp"
 #include "graph/generators.hpp"
 #include "graph/paths.hpp"
-#include "overlay/service.hpp"
-#include "sim/simulator.hpp"
+#include "overlay/sharded_service.hpp"
 
 namespace ppo::overlay {
 namespace {
@@ -28,10 +28,10 @@ OverlayParams test_params() {
 /// diffusion on a pure ring is pathologically slow (diameter n/2),
 /// far below the small-world graphs the paper evaluates on.
 struct Fixture {
-  sim::Simulator sim;
   graph::Graph trust;
   churn::ExponentialChurn model;
-  OverlayService service;
+  sim::ShardedSimulator sim;
+  ShardedOverlayService service;
 
   Fixture(std::size_t n, double alpha, OverlayParams params = test_params(),
           std::uint64_t seed = 7, bool social_graph = false)
@@ -41,8 +41,8 @@ struct Fixture {
         }()
                            : graph::ring(n)),
         model(churn::ExponentialChurn::from_availability(alpha, 30.0)),
-        service(sim, trust, model, {.params = params, .transport = {}},
-                Rng(seed)) {}
+        sim(simulator_options({}, n)),
+        service(sim, trust, model, {.params = params}, seed) {}
 };
 
 TEST(OverlayService, BuildsOneNodePerVertex) {
@@ -183,10 +183,10 @@ TEST(OverlayService, NaiveSamplingAblationRuns) {
 }
 
 TEST(OverlayService, RejectsTinyGraphs) {
-  sim::Simulator sim;
+  sim::ShardedSimulator sim(simulator_options({}, 1));
   graph::Graph g(1);
   const auto model = churn::ExponentialChurn::from_availability(1.0, 30.0);
-  EXPECT_THROW(OverlayService(sim, g, model, {}, Rng(1)), CheckError);
+  EXPECT_THROW(ShardedOverlayService(sim, g, model, {}, 1), CheckError);
 }
 
 class AvailabilitySweep : public ::testing::TestWithParam<double> {};

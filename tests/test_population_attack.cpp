@@ -5,14 +5,12 @@
 
 #include "churn/churn_model.hpp"
 #include "graph/generators.hpp"
-#include "overlay/service.hpp"
-#include "sim/simulator.hpp"
+#include "overlay/sharded_service.hpp"
 
 namespace ppo::overlay {
 namespace {
 
 TEST(PopulationEstimate, ConvergesToGroupSizeInSmallSystem) {
-  sim::Simulator sim;
   Rng grng(1);
   const graph::Graph trust = graph::barabasi_albert(60, 2, grng);
   const auto model = churn::ExponentialChurn::from_availability(1.0, 30.0);
@@ -21,7 +19,8 @@ TEST(PopulationEstimate, ConvergesToGroupSizeInSmallSystem) {
   options.params.target_links = 15;
   options.params.cache_size = 80;
   options.params.shuffle_length = 10;
-  OverlayService service(sim, trust, model, options, Rng(2));
+  sim::ShardedSimulator sim(simulator_options(options, trust.num_nodes()));
+  ShardedOverlayService service(sim, trust, model, options, 2);
   service.start();
   sim.run_until(120.0);
 
@@ -37,11 +36,11 @@ TEST(PopulationEstimate, ConvergesToGroupSizeInSmallSystem) {
 }
 
 TEST(PopulationEstimate, DisabledByDefault) {
-  sim::Simulator sim;
   Rng grng(3);
   const graph::Graph trust = graph::barabasi_albert(30, 2, grng);
   const auto model = churn::ExponentialChurn::from_availability(1.0, 30.0);
-  OverlayService service(sim, trust, model, {}, Rng(4));
+  sim::ShardedSimulator sim(simulator_options({}, trust.num_nodes()));
+  ShardedOverlayService service(sim, trust, model, {}, 4);
   service.start();
   sim.run_until(50.0);
   // Only the node's own pseudonym is counted.
@@ -53,11 +52,11 @@ TEST(TimingAttack, MarkerRelayObservableButUnreliable) {
   // whether a's neighbor b and then b's neighbor o see it shortly
   // after. Over a converged overlay this happens sometimes but far
   // from always — the paper's "unlikely to occur" argument.
-  sim::Simulator sim;
   Rng grng(5);
   const graph::Graph trust = graph::barabasi_albert(80, 3, grng);
   const auto model = churn::ExponentialChurn::from_availability(1.0, 30.0);
-  OverlayService service(sim, trust, model, {}, Rng(6));
+  sim::ShardedSimulator sim(simulator_options({}, trust.num_nodes()));
+  ShardedOverlayService service(sim, trust, model, {}, 6);
   service.start();
   sim.run_until(60.0);
 

@@ -4,16 +4,15 @@
 #include "churn/churn_model.hpp"
 #include "graph/generators.hpp"
 #include "routing/random_walk.hpp"
-#include "sim/simulator.hpp"
 
 namespace ppo::routing {
 namespace {
 
 struct Fixture {
-  sim::Simulator sim;
   graph::Graph trust;
   churn::ExponentialChurn model;
-  overlay::OverlayService service;
+  sim::ShardedSimulator sim;
+  overlay::ShardedOverlayService service;
 
   explicit Fixture(std::size_t n, double alpha = 1.0, std::uint64_t seed = 3)
       : trust([&] {
@@ -21,11 +20,12 @@ struct Fixture {
           return graph::barabasi_albert(n, 2, g);
         }()),
         model(churn::ExponentialChurn::from_availability(alpha, 30.0)),
+        sim(overlay::simulator_options({}, n)),
         service(sim, trust, model,
                 {.params = {.cache_size = 60,
                             .shuffle_length = 8,
                             .target_links = 12}},
-                Rng(seed + 1)) {
+                seed + 1) {
     service.start();
   }
 

@@ -63,11 +63,8 @@ RunOutcome run_sharded(std::size_t shards, const graph::Graph& trust,
                        std::vector<fault::NodeCrashEvent> crashes = {}) {
   const churn::ExponentialChurn model =
       churn::ExponentialChurn::from_availability(0.6, 10.0);
-  sim::ShardedSimulator::Options so;
-  so.shards = shards;
-  so.num_actors = trust.num_nodes();
-  so.lookahead = options.transport.min_latency;
-  sim::ShardedSimulator sim(so);
+  sim::ShardedSimulator sim(
+      simulator_options(options, trust.num_nodes(), shards));
   ShardedOverlayService service(sim, trust, model, options, seed);
 
   std::unique_ptr<fault::FaultInjector> injector;
@@ -80,7 +77,7 @@ RunOutcome run_sharded(std::size_t shards, const graph::Graph& trust,
       service.churn_driver().revive(v);
     };
     injector = std::make_unique<fault::FaultInjector>(
-        sim, fault::ServiceFaults{}, std::move(hooks), std::move(crashes));
+        sim, std::move(hooks), std::move(crashes));
     injector->arm();
   }
 
@@ -236,10 +233,6 @@ TEST(ShardedService, ScenarioRunsPseudonymBlackoutsOnShardedBackend) {
   EXPECT_EQ(k1.messages_total, k3.messages_total);
   EXPECT_EQ(k1.health.exchanges_completed, k3.health.exchanges_completed);
   EXPECT_GT(k1.messages_total, 0u);
-
-  // Relay crashes have no sharded counterpart (no mix mode here).
-  scenario.service_faults.relay_crashes.push_back({0, 1.0, -1.0});
-  EXPECT_THROW(experiments::run_overlay(trust, scenario), CheckError);
 }
 
 }  // namespace

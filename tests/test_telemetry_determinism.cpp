@@ -1,7 +1,7 @@
 // The telemetry plane's hard contract: a fixed-horizon service-mode
 // run produces a bit-identical trajectory fingerprint with telemetry
 // fully on (HTTP exposition + JSONL sampling + shard profiling) or
-// fully off — on the serial backend and for every sharded K. The
+// fully off — for every K, K = 1 (the serial case) included. The
 // plane only reads simulation state; these tests are what pins that.
 #include <gtest/gtest.h>
 
@@ -35,11 +35,12 @@ telemetry::ServiceModeOptions base_options(std::size_t shards) {
 }
 
 telemetry::ServiceModeOptions with_telemetry(
-    telemetry::ServiceModeOptions opt, const std::string& jsonl) {
+    telemetry::ServiceModeOptions opt, const std::string& jsonl,
+    bool profile = true) {
   opt.port = 0;  // ephemeral: exercises the real server lifecycle
   opt.telemetry_out = jsonl;
   opt.sample_interval_seconds = 0.005;
-  opt.profile = opt.shards > 0;
+  opt.profile = profile;
   return opt;
 }
 
@@ -56,12 +57,13 @@ void expect_identical(const telemetry::ServiceModeReport& off,
   EXPECT_TRUE(on.horizon_reached);
 }
 
+// The serial case: K = 1 with the plane on but shard profiling off.
 TEST(ServiceModeDeterminism, TelemetryOnEqualsOffSerial) {
-  const auto off = telemetry::run_service_mode(base_options(0));
+  const auto off = telemetry::run_service_mode(base_options(1));
   const std::string jsonl =
       testing::TempDir() + "/ppo_service_serial.jsonl";
-  const auto on =
-      telemetry::run_service_mode(with_telemetry(base_options(0), jsonl));
+  const auto on = telemetry::run_service_mode(
+      with_telemetry(base_options(1), jsonl, /*profile=*/false));
   expect_identical(off, on);
   EXPECT_GT(on.port, 0);
   EXPECT_GE(on.samples_taken, 1u);
