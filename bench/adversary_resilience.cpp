@@ -8,7 +8,7 @@
 //
 // Expected shape: graceful monotone degradation as the attacker
 // fraction grows, with the defended arm dominating the open arm from
-// ~10% attackers on. The health block separates what the adversary
+// ~10% attackers on. The accounting table separates what the adversary
 // injected (attack_*) from what the defenses absorbed (defense_*).
 // The report also carries the zero-adversary cross-check: a plan with
 // every fraction at zero must be bit-identical to no plan at all.
@@ -88,22 +88,9 @@ int main(int argc, char** argv) {
   print_series_table(std::cout, "honest shuffle-exchange completion rate",
                      "fraction", fig.fractions, fig.completion);
 
-  TextTable health({"series", "forged", "replays", "eclipse", "suppressed",
-                    "rejected", "rate-limited", "damped", "eclipsed-slots"});
-  for (std::size_t i = 0; i < fig.health.size(); ++i) {
-    const auto& h = fig.health[i];
-    health.add_row({fig.connectivity[i].name,
-                    std::to_string(h.forged_injected),
-                    std::to_string(h.replays_injected),
-                    std::to_string(h.eclipse_records_injected),
-                    std::to_string(h.responses_suppressed),
-                    std::to_string(h.forged_rejected),
-                    std::to_string(h.requests_rate_limited),
-                    std::to_string(h.displacements_damped),
-                    std::to_string(h.slots_eclipsed)});
-  }
   std::cout << "\n# attack / defense accounting (summed over fractions > 0)\n";
-  health.print(std::cout);
+  bench::health_table(fig.connectivity, fig.health, {"attack_", "defense_"})
+      .print(std::cout);
   std::cout << "\nzero-adversary cross-check: "
             << (fig.zero_adversary_identical ? "IDENTICAL" : "DIVERGED")
             << "\n";

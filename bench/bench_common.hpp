@@ -11,13 +11,16 @@
 // `--progress` for per-cell completion/ETA lines on stderr.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -28,6 +31,7 @@
 #include "experiments/figure_json.hpp"
 #include "experiments/figures.hpp"
 #include "experiments/workbench.hpp"
+#include "metrics/protocol_health.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_export.hpp"
@@ -202,6 +206,30 @@ inline void print_header(const std::string& artefact,
             << "-node synthetic social graph (seed "
             << bench.options().seed << ")\n"
             << "==============================================================\n\n";
+}
+
+/// Health accounting as text: one row per kHealthFields entry whose
+/// registry name starts with one of `prefixes`, one column per series
+/// (`names[i]` labels `health[i]`).
+inline TextTable health_table(
+    const std::vector<Series>& names,
+    const std::vector<metrics::ProtocolHealth>& health,
+    std::initializer_list<std::string_view> prefixes) {
+  std::vector<std::string> header{"counter"};
+  for (std::size_t i = 0; i < health.size(); ++i)
+    header.push_back(names[i].name);
+  TextTable table(std::move(header));
+  for (const metrics::HealthField& field : metrics::kHealthFields) {
+    const std::string_view name = field.name;
+    if (std::none_of(prefixes.begin(), prefixes.end(),
+                     [&](std::string_view p) { return name.starts_with(p); }))
+      continue;
+    std::vector<std::string> row{field.name};
+    for (const metrics::ProtocolHealth& h : health)
+      row.push_back(std::to_string(h.*field.member));
+    table.add_row(std::move(row));
+  }
+  return table;
 }
 
 /// Process-wide peak resident set size in bytes (0 when the platform

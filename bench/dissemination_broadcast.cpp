@@ -153,7 +153,6 @@ int main(int argc, char** argv) {
     }
     obs::MetricsRegistry metrics;
     runner::Json rows = runner::Json::array();
-    runner::Json health = runner::Json::array();
     for (std::size_t i = 0; i < alphas.size(); ++i) {
       for (const ComboResult& combo : grid.cells[i].combos) {
         runner::Json row = runner::Json::object();
@@ -171,9 +170,6 @@ int main(int argc, char** argv) {
         row["messages_ci"] = ci95_half_width(combo.agg.messages);
         rows.push_back(std::move(row));
       }
-      runner::Json h = experiments::to_json(grid.cells[i].health);
-      h["alpha"] = alphas[i];
-      health.push_back(std::move(h));
       experiments::add_health_metrics(
           metrics, grid.cells[i].health,
           {{"alpha", TextTable::num(alphas[i])}});
@@ -192,7 +188,6 @@ int main(int argc, char** argv) {
     doc["wall_seconds"] = wall;
     doc["metrics"] = obs::to_json(metrics);
     doc["rows"] = std::move(rows);
-    doc["health"] = std::move(health);
     doc["telemetry"] = experiments::to_json(grid.telemetry);
     std::ofstream out(path);
     if (!out) {

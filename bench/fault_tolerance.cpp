@@ -8,7 +8,7 @@
 // loss grows — every lost request or response silently cancels an
 // exchange. With retries, the overlay holds its near-zero
 // disconnected fraction up to ~20% loss at moderate availability, at
-// the cost of extra request traffic (reported in the health block).
+// the cost of extra request traffic (reported in the accounting table).
 //
 // --losses L1,L2,...  injected drop probabilities  (default 0.1,0.2,0.3,0.5)
 // --timeout T         shuffle timeout in periods   (default 0.25)
@@ -58,20 +58,10 @@ int main(int argc, char** argv) {
   print_series_table(std::cout, "shuffle-exchange completion rate",
                      "alpha", fig.alphas, fig.completion);
 
-  TextTable health({"series", "requests", "retries", "timeouts", "aborted",
-                    "stale", "completion", "delivery"});
-  for (std::size_t i = 0; i < fig.health.size(); ++i) {
-    const auto& h = fig.health[i];
-    health.add_row({fig.connectivity[i].name, std::to_string(h.requests_sent),
-                    std::to_string(h.request_retries),
-                    std::to_string(h.request_timeouts),
-                    std::to_string(h.exchanges_aborted),
-                    std::to_string(h.stale_responses),
-                    TextTable::num(h.completion_rate()),
-                    TextTable::num(h.delivery_rate())});
-  }
   std::cout << "\n# degradation accounting (summed over alphas)\n";
-  health.print(std::cout);
+  bench::health_table(fig.connectivity, fig.health,
+                      {"protocol_", "transport_"})
+      .print(std::cout);
 
   const auto metrics = experiments::collect_metrics(fig);
   bench::write_json_report(cli, "fault_tolerance", bench, scale,

@@ -67,7 +67,8 @@ int main(int argc, char** argv) {
               << " random=" << TextTable::num(entry.random.mean(), 2)
               << "\n\n";
   }
+  const auto metrics = experiments::collect_metrics(fig);
   bench::write_json_report(cli, "fig5_degree_distribution", bench, scale,
-                           experiments::to_json(fig), wall);
+                           experiments::to_json(fig), wall, &metrics);
   return 0;
 }

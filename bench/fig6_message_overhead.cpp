@@ -47,7 +47,8 @@ int main(int argc, char** argv) {
               << "  (paper: ~2 at alpha=1; lower under churn because "
                  "requests to offline peers get no response)\n\n";
   }
+  const auto metrics = experiments::collect_metrics(fig);
   bench::write_json_report(cli, "fig6_message_overhead", bench, scale,
-                           experiments::to_json(fig), wall);
+                           experiments::to_json(fig), wall, &metrics);
   return 0;
 }

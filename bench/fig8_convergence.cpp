@@ -34,7 +34,8 @@ int main(int argc, char** argv) {
   metrics::print_time_series(
       std::cout, "fraction of disconnected nodes over time (shuffle periods)",
       {fig.trust, fig.overlay_r3, fig.overlay_r9}, 3);
+  const auto metrics = experiments::collect_metrics(fig);
   bench::write_json_report(cli, "fig8_convergence", bench, scale,
-                           experiments::to_json(fig), wall);
+                           experiments::to_json(fig), wall, &metrics);
   return 0;
 }

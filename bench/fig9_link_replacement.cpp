@@ -37,7 +37,8 @@ int main(int argc, char** argv) {
       std::cout,
       "pseudonym links replaced per node per shuffle period over time",
       {fig.r3, fig.r9, fig.r_infinite}, 3);
+  const auto metrics = experiments::collect_metrics(fig);
   bench::write_json_report(cli, "fig9_link_replacement", bench, scale,
-                           experiments::to_json(fig), wall);
+                           experiments::to_json(fig), wall, &metrics);
   return 0;
 }

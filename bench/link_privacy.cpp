@@ -106,8 +106,7 @@ int main(int argc, char** argv) {
     std::cout << " " << fp.shards;
   std::cout << "): " << (fig.kinvariant ? "IDENTICAL" : "DIVERGED") << "\n";
 
-  const auto metrics = experiments::collect_metrics(fig);
   bench::write_json_report(cli, "link_privacy", bench, scale,
-                           experiments::to_json(fig), wall, &metrics);
+                           experiments::to_json(fig), wall);
   return 0;
 }

@@ -88,10 +88,11 @@ double stall_ratio(const sim::ShardedSimulator::ShardStats& st) {
 }
 
 /// Per-run registry: health rollup plus the per-shard load profile
-/// (dimension shard=K), the `metrics` block of each JSON run entry.
+/// (dimension shard=K), the `metrics` block of each JSON run entry and
+/// the only place the run's counters are written.
 obs::MetricsRegistry run_metrics(const RunReport& report, bool profiled) {
   obs::MetricsRegistry registry;
-  experiments::add_health_metrics(registry, report.health, {});
+  experiments::add_health_metrics(registry, report.health);
   for (std::size_t s = 0; s < report.shard_stats.size(); ++s) {
     const auto& st = report.shard_stats[s];
     const obs::MetricDims dims{{"shard", std::to_string(s)}};
@@ -107,9 +108,6 @@ obs::MetricsRegistry run_metrics(const RunReport& report, bool profiled) {
       registry.set_gauge("shard_stall_ratio", stall_ratio(st), dims);
     }
   }
-  registry.set_gauge("events_per_second", report.events_per_second());
-  registry.set_gauge("events_per_second_per_core",
-                     report.events_per_second_per_core());
   return registry;
 }
 
@@ -301,29 +299,7 @@ int main(int argc, char** argv) {
       entry["peak_rss_bytes"] = static_cast<std::uint64_t>(r.peak_rss_bytes);
       entry["node_state_bytes"] =
           static_cast<std::uint64_t>(r.node_state_bytes);
-      entry["health"] = experiments::to_json(r.health);
-      const obs::MetricsRegistry metrics = run_metrics(r, profile);
-      entry["metrics"] = obs::to_json(metrics);
-      if (!r.shard_stats.empty()) {
-        runner::Json shard_profile = runner::Json::array();
-        for (std::size_t s = 0; s < r.shard_stats.size(); ++s) {
-          const auto& st = r.shard_stats[s];
-          runner::Json row = runner::Json::object();
-          row["shard"] = static_cast<std::uint64_t>(s);
-          row["events"] = st.events;
-          row["windows"] = st.windows;
-          row["mailbox_out"] = st.mailbox_out;
-          row["max_queue"] = static_cast<std::uint64_t>(st.max_queue);
-          if (profile) {
-            row["busy_seconds"] = st.busy_seconds;
-            row["stall_seconds"] = st.stall_seconds;
-            row["busy_ratio"] = busy_ratio(st);
-            row["stall_ratio"] = stall_ratio(st);
-          }
-          shard_profile.push_back(std::move(row));
-        }
-        entry["shard_profile"] = std::move(shard_profile);
-      }
+      entry["metrics"] = obs::to_json(run_metrics(r, profile));
       runs.push_back(std::move(entry));
     }
     doc["runs"] = std::move(runs);

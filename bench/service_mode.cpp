@@ -188,7 +188,6 @@ int main(int argc, char** argv) {
         static_cast<std::uint64_t>(report.peak_rss_bytes);
     doc["node_state_bytes"] =
         static_cast<std::uint64_t>(report.node_state_bytes);
-    doc["health"] = experiments::to_json(report.health);
     doc["telemetry_port"] = static_cast<std::int64_t>(report.port);
     doc["scrapes_served"] = report.scrapes_served;
     doc["samples_taken"] = report.samples_taken;

@@ -54,24 +54,6 @@ void arm_defenses(OverlayScenario& scenario, const AdversarySpec& spec) {
   scenario.params.sampler_min_dwell = spec.sampler_min_dwell;
 }
 
-/// Everything the zero-adversary cross-check compares: summary stats,
-/// message/replacement totals and the health counters that would move
-/// first if the engine perturbed a trajectory.
-bool runs_identical(const OverlayRunResult& a, const OverlayRunResult& b) {
-  return a.stats.frac_disconnected.mean() ==
-             b.stats.frac_disconnected.mean() &&
-         a.stats.norm_apl.mean() == b.stats.norm_apl.mean() &&
-         a.replacements == b.replacements &&
-         a.messages_total == b.messages_total &&
-         a.final_total_edges == b.final_total_edges &&
-         a.health.requests_sent == b.health.requests_sent &&
-         a.health.responses_sent == b.health.responses_sent &&
-         a.health.exchanges_completed == b.health.exchanges_completed &&
-         a.health.messages_delivered == b.health.messages_delivered &&
-         a.health.forged_injected == 0 && b.health.forged_injected == 0 &&
-         a.health.replays_injected == 0 && b.health.replays_injected == 0;
-}
-
 }  // namespace
 
 AdversaryFigure adversary_resilience_sweep(Workbench& bench,

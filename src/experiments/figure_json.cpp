@@ -15,35 +15,6 @@ Json to_json(const runner::SweepTelemetry& telemetry) {
   return j;
 }
 
-Json to_json(const metrics::ProtocolHealth& health) {
-  Json j = Json::object();
-  j["requests_sent"] = health.requests_sent;
-  j["responses_sent"] = health.responses_sent;
-  j["exchanges_completed"] = health.exchanges_completed;
-  j["request_timeouts"] = health.request_timeouts;
-  j["request_retries"] = health.request_retries;
-  j["exchanges_aborted"] = health.exchanges_aborted;
-  j["stale_responses"] = health.stale_responses;
-  j["messages_sent"] = health.messages_sent;
-  j["messages_delivered"] = health.messages_delivered;
-  j["messages_dropped"] = health.messages_dropped;
-  j["forged_rejected"] = health.forged_rejected;
-  j["requests_rate_limited"] = health.requests_rate_limited;
-  j["displacements_damped"] = health.displacements_damped;
-  j["forged_injected"] = health.forged_injected;
-  j["replays_injected"] = health.replays_injected;
-  j["eclipse_records_injected"] = health.eclipse_records_injected;
-  j["responses_suppressed"] = health.responses_suppressed;
-  j["slots_eclipsed"] = health.slots_eclipsed;
-  j["honest_requests_sent"] = health.honest_requests_sent;
-  j["honest_request_retries"] = health.honest_request_retries;
-  j["honest_exchanges_completed"] = health.honest_exchanges_completed;
-  j["honest_completion_rate"] = health.honest_completion_rate();
-  j["completion_rate"] = health.completion_rate();
-  j["delivery_rate"] = health.delivery_rate();
-  return j;
-}
-
 Json to_json(const Series& series) {
   Json j = Json::object();
   j["name"] = series.name;
@@ -104,24 +75,6 @@ Json series_block(const std::vector<Series>& series) {
   return arr;
 }
 
-/// Health rollups keyed by the matching series' name.
-Json health_block(const std::vector<metrics::ProtocolHealth>& health,
-                  const std::vector<Series>& names) {
-  Json arr = Json::array();
-  for (std::size_t i = 0; i < health.size(); ++i) {
-    Json h = to_json(health[i]);
-    h["name"] = names[i].name;
-    arr.push_back(std::move(h));
-  }
-  return arr;
-}
-
-Json named_health(const metrics::ProtocolHealth& health, const char* name) {
-  Json h = to_json(health);
-  h["name"] = name;
-  return h;
-}
-
 }  // namespace
 
 Json to_json(const SweepFigure& fig) {
@@ -132,7 +85,6 @@ Json to_json(const SweepFigure& fig) {
   j["napl"] = series_block(fig.napl);
   j["connectivity_ci"] = series_block(fig.connectivity_ci);
   j["napl_ci"] = series_block(fig.napl_ci);
-  j["health"] = health_block(fig.health, fig.connectivity);
   j["telemetry"] = to_json(fig.telemetry);
   return j;
 }
@@ -145,7 +97,6 @@ Json to_json(const DegreeFigure& fig) {
     e["trust"] = to_json(entry.trust);
     e["overlay"] = to_json(entry.overlay);
     e["random"] = to_json(entry.random);
-    e["health"] = to_json(entry.health);
     entries.push_back(std::move(e));
   }
   Json j = Json::object();
@@ -169,7 +120,6 @@ Json to_json(const MessageFigure& fig) {
     Json e = Json::object();
     e["f"] = entry.f;
     e["mean_messages"] = entry.mean_messages;
-    e["health"] = to_json(entry.health);
     e["rows"] = std::move(rows);
     entries.push_back(std::move(e));
   }
@@ -184,12 +134,8 @@ Json to_json(const ConvergenceFigure& fig) {
   series.push_back(to_json(fig.trust));
   series.push_back(to_json(fig.overlay_r3));
   series.push_back(to_json(fig.overlay_r9));
-  Json health = Json::array();
-  health.push_back(named_health(fig.health_r3, "overlay-r3"));
-  health.push_back(named_health(fig.health_r9, "overlay-r9"));
   Json j = Json::object();
   j["series"] = std::move(series);
-  j["health"] = std::move(health);
   j["telemetry"] = to_json(fig.telemetry);
   return j;
 }
@@ -199,13 +145,8 @@ Json to_json(const ReplacementFigure& fig) {
   series.push_back(to_json(fig.r3));
   series.push_back(to_json(fig.r9));
   series.push_back(to_json(fig.r_infinite));
-  Json health = Json::array();
-  health.push_back(named_health(fig.health_r3, "r3"));
-  health.push_back(named_health(fig.health_r9, "r9"));
-  health.push_back(named_health(fig.health_r_infinite, "r-infinite"));
   Json j = Json::object();
   j["series"] = std::move(series);
-  j["health"] = std::move(health);
   j["telemetry"] = to_json(fig.telemetry);
   return j;
 }
@@ -220,7 +161,6 @@ Json to_json(const FaultFigure& fig) {
   j["connectivity_ci"] = series_block(fig.connectivity_ci);
   j["napl_ci"] = series_block(fig.napl_ci);
   j["completion_ci"] = series_block(fig.completion_ci);
-  j["health"] = health_block(fig.health, fig.connectivity);
   j["telemetry"] = to_json(fig.telemetry);
   return j;
 }
@@ -234,64 +174,58 @@ Json to_json(const AdversaryFigure& fig) {
   j["completion"] = series_block(fig.completion);
   j["connectivity_ci"] = series_block(fig.connectivity_ci);
   j["completion_ci"] = series_block(fig.completion_ci);
-  j["health"] = health_block(fig.health, fig.connectivity);
   j["telemetry"] = to_json(fig.telemetry);
   return j;
 }
 
 void add_health_metrics(obs::MetricsRegistry& registry,
                         const metrics::ProtocolHealth& health,
-                        const obs::MetricDims& dims) {
-  registry.add_counter("protocol_requests_sent", health.requests_sent, dims);
-  registry.add_counter("protocol_responses_sent", health.responses_sent, dims);
-  registry.add_counter("protocol_exchanges_completed",
-                       health.exchanges_completed, dims);
-  registry.add_counter("protocol_request_timeouts", health.request_timeouts,
-                       dims);
-  registry.add_counter("protocol_request_retries", health.request_retries,
-                       dims);
-  registry.add_counter("protocol_exchanges_aborted", health.exchanges_aborted,
-                       dims);
-  registry.add_counter("protocol_stale_responses", health.stale_responses,
-                       dims);
-  registry.add_counter("transport_messages_sent", health.messages_sent, dims);
-  registry.add_counter("transport_messages_delivered",
-                       health.messages_delivered, dims);
-  registry.add_counter("transport_messages_dropped", health.messages_dropped,
-                       dims);
-  registry.add_counter("defense_forged_rejected", health.forged_rejected,
-                       dims);
-  registry.add_counter("defense_requests_rate_limited",
-                       health.requests_rate_limited, dims);
-  registry.add_counter("defense_displacements_damped",
-                       health.displacements_damped, dims);
-  registry.add_counter("attack_forged_injected", health.forged_injected, dims);
-  registry.add_counter("attack_replays_injected", health.replays_injected,
-                       dims);
-  registry.add_counter("attack_eclipse_records_injected",
-                       health.eclipse_records_injected, dims);
-  registry.add_counter("attack_responses_suppressed",
-                       health.responses_suppressed, dims);
-  registry.add_counter("attack_slots_eclipsed", health.slots_eclipsed, dims);
-  registry.add_counter("protocol_honest_requests_sent",
-                       health.honest_requests_sent, dims);
-  registry.add_counter("protocol_honest_exchanges_completed",
-                       health.honest_exchanges_completed, dims);
-  registry.set_gauge("protocol_honest_completion_rate",
-                     health.honest_completion_rate(), dims);
+                        const obs::MetricDims& dims,
+                        const metrics::ProtocolHealth& since) {
+  for (const metrics::HealthField& field : metrics::kHealthFields) {
+    if (field.kind == metrics::HealthKind::kTotal)
+      registry.add_counter(field.name,
+                           health.*field.member - since.*field.member, dims);
+    else
+      registry.set_gauge(field.name,
+                         static_cast<double>(health.*field.member), dims);
+  }
   registry.set_gauge("protocol_completion_rate", health.completion_rate(),
                      dims);
+  registry.set_gauge("protocol_honest_completion_rate",
+                     health.honest_completion_rate(), dims);
   registry.set_gauge("transport_delivery_rate", health.delivery_rate(), dims);
 }
 
 namespace {
+
+/// "%g" rendering for dimension values: 0.5 -> "0.5", 1.0 -> "1".
+std::string compact(double x) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%g", x);
+  return buf;
+}
+
+void add_series(obs::MetricsRegistry& registry,
+                const metrics::ProtocolHealth& health,
+                const std::string& series) {
+  add_health_metrics(registry, health, {{"series", series}});
+}
 
 obs::MetricsRegistry health_registry(
     const std::vector<metrics::ProtocolHealth>& health,
     const std::vector<Series>& names) {
   obs::MetricsRegistry registry;
   for (std::size_t i = 0; i < health.size(); ++i)
-    add_health_metrics(registry, health[i], {{"series", names[i].name}});
+    add_series(registry, health[i], names[i].name);
+  return registry;
+}
+
+template <typename PerF>
+obs::MetricsRegistry per_f_registry(const std::vector<PerF>& entries) {
+  obs::MetricsRegistry registry;
+  for (const PerF& entry : entries)
+    add_series(registry, entry.health, "overlay-f" + compact(entry.f));
   return registry;
 }
 
@@ -299,6 +233,29 @@ obs::MetricsRegistry health_registry(
 
 obs::MetricsRegistry collect_metrics(const SweepFigure& fig) {
   return health_registry(fig.health, fig.connectivity);
+}
+
+obs::MetricsRegistry collect_metrics(const DegreeFigure& fig) {
+  return per_f_registry(fig.entries);
+}
+
+obs::MetricsRegistry collect_metrics(const MessageFigure& fig) {
+  return per_f_registry(fig.entries);
+}
+
+obs::MetricsRegistry collect_metrics(const ConvergenceFigure& fig) {
+  obs::MetricsRegistry registry;
+  add_series(registry, fig.health_r3, fig.overlay_r3.name());
+  add_series(registry, fig.health_r9, fig.overlay_r9.name());
+  return registry;
+}
+
+obs::MetricsRegistry collect_metrics(const ReplacementFigure& fig) {
+  obs::MetricsRegistry registry;
+  add_series(registry, fig.health_r3, fig.r3.name());
+  add_series(registry, fig.health_r9, fig.r9.name());
+  add_series(registry, fig.health_r_infinite, fig.r_infinite.name());
+  return registry;
 }
 
 obs::MetricsRegistry collect_metrics(const FaultFigure& fig) {
@@ -351,27 +308,6 @@ Json to_json(const LinkPrivacyFigure& fig) {
   j["cells"] = std::move(cells);
   j["telemetry"] = to_json(fig.telemetry);
   return j;
-}
-
-obs::MetricsRegistry collect_metrics(const LinkPrivacyFigure& fig) {
-  obs::MetricsRegistry registry;
-  const auto compact = [](double x) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%g", x);
-    return std::string(buf);
-  };
-  for (const LinkPrivacyCell& cell : fig.cells) {
-    const obs::MetricDims dims = {
-        {"attack", cell.attack},
-        {"cell", "L" + compact(cell.lifetime) + "-c" +
-                     compact(cell.coverage) +
-                     (cell.defended ? "-defended" : "-open")}};
-    registry.set_gauge("inference_precision", cell.precision, dims);
-    registry.set_gauge("inference_recall", cell.recall, dims);
-    registry.set_gauge("inference_auc", cell.auc, dims);
-    registry.set_gauge("inference_observations", cell.observations, dims);
-  }
-  return registry;
 }
 
 }  // namespace ppo::experiments

@@ -29,10 +29,20 @@ namespace ppo::experiments {
 /// entries carry `events_per_second`/`events_per_second_per_core`
 /// and profiled shard rows carry `busy_ratio`/`stall_ratio`; new
 /// `service_mode` artefact (live-telemetry service runs).
-inline constexpr int kFigureJsonSchemaVersion = 4;
+/// v5: each number is written once, in the `metrics` block. Figure
+/// payloads lose their `health` arrays: every figure's envelope
+/// (fig5/6/8/9 included) carries the health counters as
+/// `<name>{series=<series>}` cells, named by metrics::kHealthFields,
+/// with `attack_slots_eclipsed` a gauge and
+/// `protocol_honest_request_retries` new. scale_single_run runs lose
+/// `health` and `shard_profile` (their `metrics` block holds the
+/// `shard_*{shard=k}` cells), service_mode and dissemination_broadcast
+/// lose `health`, link_privacy loses its `inference_*` gauges (they
+/// repeated `figure.cells`), and `metrics` loses its `histograms`
+/// section.
+inline constexpr int kFigureJsonSchemaVersion = 5;
 
 runner::Json to_json(const runner::SweepTelemetry& telemetry);
-runner::Json to_json(const metrics::ProtocolHealth& health);
 runner::Json to_json(const Series& series);
 runner::Json to_json(const Histogram& histogram);
 runner::Json to_json(const metrics::TimeSeries& series);
@@ -48,18 +58,25 @@ runner::Json to_json(const FaultFigure& fig);
 runner::Json to_json(const AdversaryFigure& fig);
 runner::Json to_json(const LinkPrivacyFigure& fig);
 
-/// Folds a ProtocolHealth rollup into `registry` as
-/// `protocol_*`/`transport_*` counters plus rate gauges, all under
-/// `dims` (e.g. {{"series", "overlay-f0.5"}}).
+/// The one projection of a ProtocolHealth record into the registry:
+/// every kHealthFields total becomes a counter advanced by its growth
+/// since `since` (all of it by default), the level and the three rates
+/// become gauges — all under `dims` (e.g. {{"series",
+/// "overlay-f0.5"}}). Service mode passes the previous slice's record
+/// as `since`, so one call serves reports and live refreshes alike.
 void add_health_metrics(obs::MetricsRegistry& registry,
                         const metrics::ProtocolHealth& health,
-                        const obs::MetricDims& dims);
+                        const obs::MetricDims& dims = {},
+                        const metrics::ProtocolHealth& since = {});
 
-/// Registry snapshots scraped from a figure's health rollups, one
-/// dimension per series — the `metrics` block of the bench envelope.
+/// A figure's health rollups as registry cells, one `series`
+/// dimension per rollup — the `metrics` block of the bench envelope.
 obs::MetricsRegistry collect_metrics(const SweepFigure& fig);
+obs::MetricsRegistry collect_metrics(const DegreeFigure& fig);
+obs::MetricsRegistry collect_metrics(const MessageFigure& fig);
+obs::MetricsRegistry collect_metrics(const ConvergenceFigure& fig);
+obs::MetricsRegistry collect_metrics(const ReplacementFigure& fig);
 obs::MetricsRegistry collect_metrics(const FaultFigure& fig);
 obs::MetricsRegistry collect_metrics(const AdversaryFigure& fig);
-obs::MetricsRegistry collect_metrics(const LinkPrivacyFigure& fig);
 
 }  // namespace ppo::experiments

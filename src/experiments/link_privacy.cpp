@@ -62,21 +62,6 @@ ArmResult evaluate_log(const std::vector<inference::ObservationRecord>& log,
   return out;
 }
 
-/// What the zero-observer cross-check compares: the trajectory-level
-/// aggregates that would move first if the observer perturbed a run.
-bool runs_identical(const OverlayRunResult& a, const OverlayRunResult& b) {
-  return a.stats.frac_disconnected.mean() ==
-             b.stats.frac_disconnected.mean() &&
-         a.stats.norm_apl.mean() == b.stats.norm_apl.mean() &&
-         a.replacements == b.replacements &&
-         a.messages_total == b.messages_total &&
-         a.final_total_edges == b.final_total_edges &&
-         a.health.requests_sent == b.health.requests_sent &&
-         a.health.responses_sent == b.health.responses_sent &&
-         a.health.exchanges_completed == b.health.exchanges_completed &&
-         a.health.messages_delivered == b.health.messages_delivered;
-}
-
 }  // namespace
 
 LinkPrivacyFigure link_privacy_sweep(Workbench& bench,

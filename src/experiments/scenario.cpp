@@ -443,6 +443,15 @@ OverlayRunResult run_overlay(const graph::Graph& trust,
   return {};
 }
 
+bool runs_identical(const OverlayRunResult& a, const OverlayRunResult& b) {
+  return a.stats.frac_disconnected.mean() ==
+             b.stats.frac_disconnected.mean() &&
+         a.stats.norm_apl.mean() == b.stats.norm_apl.mean() &&
+         a.replacements == b.replacements &&
+         a.messages_total == b.messages_total &&
+         a.final_total_edges == b.final_total_edges && a.health == b.health;
+}
+
 StaticRunResult run_static(const graph::Graph& g, const ChurnSpec& churn_spec,
                            const MeasureWindow& window, std::uint64_t seed) {
   sim::Simulator sim;

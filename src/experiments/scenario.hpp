@@ -130,6 +130,11 @@ struct OverlayRunResult {
 OverlayRunResult run_overlay(const graph::Graph& trust,
                              const OverlayScenario& scenario);
 
+/// What the zero-plan cross-checks (an adversary or observer arm that
+/// must not perturb the run) compare: summary stats, message and
+/// replacement totals, final edge count and every health field.
+bool runs_identical(const OverlayRunResult& a, const OverlayRunResult& b);
+
 /// Process-wide warm-start accounting, summed over every
 /// warm-start-armed run_overlay call since the last reset (sweep
 /// cells included — updates are atomic, reads are consistent only at

@@ -39,37 +39,9 @@ double ProtocolHealth::delivery_rate() const {
 }
 
 ProtocolHealth& ProtocolHealth::merge(const ProtocolHealth& other) {
-  requests_sent = saturating_add(requests_sent, other.requests_sent);
-  responses_sent = saturating_add(responses_sent, other.responses_sent);
-  exchanges_completed =
-      saturating_add(exchanges_completed, other.exchanges_completed);
-  request_timeouts = saturating_add(request_timeouts, other.request_timeouts);
-  request_retries = saturating_add(request_retries, other.request_retries);
-  exchanges_aborted =
-      saturating_add(exchanges_aborted, other.exchanges_aborted);
-  stale_responses = saturating_add(stale_responses, other.stale_responses);
-  messages_sent = saturating_add(messages_sent, other.messages_sent);
-  messages_delivered =
-      saturating_add(messages_delivered, other.messages_delivered);
-  messages_dropped = saturating_add(messages_dropped, other.messages_dropped);
-  forged_rejected = saturating_add(forged_rejected, other.forged_rejected);
-  requests_rate_limited =
-      saturating_add(requests_rate_limited, other.requests_rate_limited);
-  displacements_damped =
-      saturating_add(displacements_damped, other.displacements_damped);
-  forged_injected = saturating_add(forged_injected, other.forged_injected);
-  replays_injected = saturating_add(replays_injected, other.replays_injected);
-  eclipse_records_injected = saturating_add(eclipse_records_injected,
-                                            other.eclipse_records_injected);
-  responses_suppressed =
-      saturating_add(responses_suppressed, other.responses_suppressed);
-  slots_eclipsed = saturating_add(slots_eclipsed, other.slots_eclipsed);
-  honest_requests_sent =
-      saturating_add(honest_requests_sent, other.honest_requests_sent);
-  honest_request_retries =
-      saturating_add(honest_request_retries, other.honest_request_retries);
-  honest_exchanges_completed = saturating_add(
-      honest_exchanges_completed, other.honest_exchanges_completed);
+  for (const HealthField& field : kHealthFields)
+    this->*field.member =
+        saturating_add(this->*field.member, other.*field.member);
   return *this;
 }
 

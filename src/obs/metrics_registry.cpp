@@ -30,7 +30,6 @@ MetricsRegistry& MetricsRegistry::operator=(const MetricsRegistry& other) {
   std::unique_lock lock(mutex_);
   counters_ = other.counters_;
   gauges_ = other.gauges_;
-  histograms_ = other.histograms_;
   streaming_ = other.streaming_;
   return *this;
 }
@@ -45,12 +44,6 @@ void MetricsRegistry::set_gauge(const std::string& name, double value,
                                 const MetricDims& dims) {
   std::unique_lock lock(mutex_);
   gauges_[metric_key(name, dims)] = value;
-}
-
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      const MetricDims& dims) {
-  std::unique_lock lock(mutex_);
-  return histograms_[metric_key(name, dims)];
 }
 
 StreamingHistogram& MetricsRegistry::streaming(const std::string& name,
@@ -78,8 +71,7 @@ std::uint64_t MetricsRegistry::counter(const std::string& key) const {
 
 bool MetricsRegistry::empty() const {
   std::shared_lock lock(mutex_);
-  return counters_.empty() && gauges_.empty() && histograms_.empty() &&
-         streaming_.empty();
+  return counters_.empty() && gauges_.empty() && streaming_.empty();
 }
 
 MetricsRegistry::Snapshot MetricsRegistry::snapshot() const {
@@ -87,7 +79,6 @@ MetricsRegistry::Snapshot MetricsRegistry::snapshot() const {
   std::shared_lock lock(mutex_);
   snap.counters = counters_;
   snap.gauges = gauges_;
-  snap.histograms = histograms_;
   for (const auto& [key, hist] : streaming_)
     snap.streaming.emplace(key, hist.snapshot());
   return snap;
@@ -113,21 +104,6 @@ runner::Json to_json(const MetricsRegistry::Snapshot& snapshot) {
   auto gauges = runner::Json::object();
   for (const auto& [key, value] : snapshot.gauges) gauges[key] = value;
   doc["gauges"] = std::move(gauges);
-  auto histograms = runner::Json::object();
-  for (const auto& [key, h] : snapshot.histograms) {
-    auto cell = runner::Json::object();
-    cell["count"] = static_cast<std::uint64_t>(h.total());
-    cell["mean"] = h.empty() ? 0.0 : h.mean();
-    cell["p50"] = static_cast<std::uint64_t>(h.empty() ? 0 : h.quantile(0.50));
-    cell["p90"] = static_cast<std::uint64_t>(h.empty() ? 0 : h.quantile(0.90));
-    cell["p95"] = static_cast<std::uint64_t>(h.empty() ? 0 : h.quantile(0.95));
-    cell["p99"] = static_cast<std::uint64_t>(h.empty() ? 0 : h.quantile(0.99));
-    cell["p999"] =
-        static_cast<std::uint64_t>(h.empty() ? 0 : h.quantile(0.999));
-    cell["max"] = static_cast<std::uint64_t>(h.empty() ? 0 : h.max_value());
-    histograms[key] = std::move(cell);
-  }
-  doc["histograms"] = std::move(histograms);
   auto streaming = runner::Json::object();
   for (const auto& [key, s] : snapshot.streaming) {
     auto cell = runner::Json::object();

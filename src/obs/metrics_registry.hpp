@@ -1,7 +1,8 @@
-// Named metrics registry: counters, gauges and histograms with
-// free-form dimensions (per-node, per-shard, ...), scraped into figure
-// `--json` reports next to ProtocolHealth and served live by the
-// telemetry plane (src/telemetry) as Prometheus text format.
+// Named metrics registry: counters, gauges and streaming histograms
+// with free-form dimensions (per-series, per-shard, ...). It is the one
+// store every report reads: the `metrics` block of each `--json`
+// report, the telemetry JSONL rows and the Prometheus exposition of
+// the telemetry plane (src/telemetry) all render a snapshot() of it.
 //
 // Two usage modes share the one class:
 //
@@ -15,9 +16,8 @@
 //    renders concurrent snapshots. Structure (map) mutations and
 //    plain counter/gauge writes take a shared_mutex; streaming
 //    histogram samples are lock-free atomic increments behind a
-//    shared (reader) lock. snapshot() is the race-free read path —
-//    everything concurrent must go through it, never through the raw
-//    map accessors.
+//    shared (reader) lock. Every read takes the lock too; snapshot()
+//    is the one bulk read path.
 //
 // The live path is telemetry-only by contract: observations read
 // simulation state, never write it, so trajectories are bit-identical
@@ -32,7 +32,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/histogram.hpp"
 #include "obs/streaming_histogram.hpp"
 #include "runner/json.hpp"
 
@@ -62,11 +61,6 @@ class MetricsRegistry {
   void set_gauge(const std::string& name, double value,
                  const MetricDims& dims = {});
 
-  /// Histogram cell; add samples via the returned reference.
-  /// Scrape-time only: the reference is mutated OUTSIDE the lock, so
-  /// it must not race with snapshot() — live paths use streaming().
-  Histogram& histogram(const std::string& name, const MetricDims& dims = {});
-
   /// Streaming (log-bucketed, lock-free) histogram cell for live
   /// observation. The reference is stable for the registry's lifetime;
   /// observe() on it is thread-safe against concurrent snapshot().
@@ -81,47 +75,33 @@ class MetricsRegistry {
   std::uint64_t counter(const std::string& key) const;  // 0 if absent
   bool empty() const;
 
-  /// Race-free point-in-time copy of every cell; the concurrent read
-  /// path (Prometheus rendering, JSONL sampling, to_json).
+  /// Race-free point-in-time copy of every cell; the read path
+  /// (Prometheus rendering, JSONL sampling, to_json).
   struct Snapshot {
     std::map<std::string, std::uint64_t> counters;
     std::map<std::string, double> gauges;
-    std::map<std::string, Histogram> histograms;
     std::map<std::string, StreamingHistogram::Snapshot> streaming;
 
     bool empty() const {
-      return counters.empty() && gauges.empty() && histograms.empty() &&
-             streaming.empty();
+      return counters.empty() && gauges.empty() && streaming.empty();
     }
   };
   Snapshot snapshot() const;
-
-  // Raw map accessors for quiescent single-threaded consumers (figure
-  // JSON assembly). Do not hold these across concurrent updates — use
-  // snapshot() instead.
-  const std::map<std::string, std::uint64_t>& counters() const {
-    return counters_;
-  }
-  const std::map<std::string, double>& gauges() const { return gauges_; }
-  const std::map<std::string, Histogram>& histograms() const {
-    return histograms_;
-  }
 
  private:
   mutable std::shared_mutex mutex_;
   std::map<std::string, std::uint64_t> counters_;
   std::map<std::string, double> gauges_;
-  std::map<std::string, Histogram> histograms_;
   /// node-based map: references stay valid across inserts, and
   /// StreamingHistogram's atomics never move once created.
   std::map<std::string, StreamingHistogram> streaming_;
 };
 
-/// {"counters": {...}, "gauges": {...}, "histograms": {key: {count,
-/// mean, p50, p90, p95, p99, p999, max}}, "streaming": {key: {count,
+/// {"counters": {...}, "gauges": {...}, "streaming": {key: {count,
 /// mean, p50, p95, p99, p999, max}}} — keys sorted, so reports diff
-/// cleanly. Reads through snapshot(), so it is safe concurrently with
-/// live updates.
+/// cleanly. The one renderer of registry state: report `metrics`
+/// blocks and telemetry JSONL rows both come from it. Reads through
+/// snapshot(), so it is safe concurrently with live updates.
 runner::Json to_json(const MetricsRegistry& registry);
 runner::Json to_json(const MetricsRegistry::Snapshot& snapshot);
 

@@ -92,14 +92,17 @@ void HttpServer::stop() {
     if (thread_.joinable()) thread_.join();
     return;
   }
+  // shutdown() wakes the blocking accept(); close() alone is not
+  // guaranteed to on all platforms. The descriptor is closed and reset
+  // only once the accept thread has exited: serve_loop() reads
+  // listen_fd_, and closing first would let it race the reset or
+  // accept() on a closed descriptor whose number was already reused.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (thread_.joinable()) thread_.join();
   if (listen_fd_ >= 0) {
-    // shutdown() wakes the blocking accept(); close() alone is not
-    // guaranteed to on all platforms.
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (thread_.joinable()) thread_.join();
 }
 
 void HttpServer::serve_loop() {

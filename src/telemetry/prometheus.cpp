@@ -79,7 +79,7 @@ std::string render_labels(
   return out;
 }
 
-/// Same labels plus one extra pair (quantile / le), rendered.
+/// Same labels plus one extra pair (`le`), rendered.
 std::string render_labels_plus(
     std::vector<std::pair<std::string, std::string>> labels,
     const std::string& key, const std::string& value) {
@@ -177,26 +177,6 @@ std::string render_prometheus(
              number(hist.sum) + "\n";
       out += family + "_count" + render_labels(key.labels) + " " +
              number(hist.count) + "\n";
-    }
-  }
-
-  for (const auto& [family, cells] :
-       group<decltype(snapshot.histograms), Histogram>(snapshot.histograms)) {
-    out += "# TYPE " + family + " summary\n";
-    for (const auto& [key, hist] : cells) {
-      for (const double q : {0.5, 0.9, 0.95, 0.99, 0.999}) {
-        const double value =
-            hist.empty() ? 0.0 : static_cast<double>(hist.quantile(q));
-        out += family +
-               render_labels_plus(key.labels, "quantile", number(q)) + " " +
-               number(value) + "\n";
-      }
-      out += family + "_sum" + render_labels(key.labels) + " " +
-             number(hist.empty() ? 0.0
-                                 : hist.mean() * double(hist.total())) +
-             "\n";
-      out += family + "_count" + render_labels(key.labels) + " " +
-             number(std::uint64_t{hist.total()}) + "\n";
     }
   }
 

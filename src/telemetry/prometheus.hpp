@@ -8,8 +8,6 @@
 //  - streaming histograms -> native `# TYPE <name> histogram` families
 //    with cumulative `le` buckets (only the log buckets that hold
 //    mass, plus `+Inf`), `_sum` and `_count`
-//  - scrape-time sparse histograms -> `# TYPE <name> summary` with
-//    quantile labels, `_sum` and `_count`
 //
 // Registry keys already carry dimensions in `name{k=v,...}` form;
 // rendering re-parses them into proper quoted Prometheus labels and

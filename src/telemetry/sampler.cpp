@@ -5,28 +5,8 @@
 namespace ppo::telemetry {
 
 runner::Json to_json(const TelemetrySample& sample) {
-  auto doc = runner::Json::object();
+  runner::Json doc = obs::to_json(sample.metrics);
   doc["wall_seconds"] = sample.wall_seconds;
-  auto counters = runner::Json::object();
-  for (const auto& [key, value] : sample.metrics.counters)
-    counters[key] = value;
-  doc["counters"] = std::move(counters);
-  auto gauges = runner::Json::object();
-  for (const auto& [key, value] : sample.metrics.gauges) gauges[key] = value;
-  doc["gauges"] = std::move(gauges);
-  auto quantiles = runner::Json::object();
-  for (const auto& [key, hist] : sample.metrics.streaming) {
-    auto cell = runner::Json::object();
-    cell["count"] = hist.count;
-    cell["mean"] = hist.mean();
-    cell["p50"] = hist.p50();
-    cell["p95"] = hist.p95();
-    cell["p99"] = hist.p99();
-    cell["p999"] = hist.p999();
-    cell["max"] = hist.max;
-    quantiles[key] = std::move(cell);
-  }
-  doc["quantiles"] = std::move(quantiles);
   return doc;
 }
 

@@ -28,8 +28,9 @@ struct TelemetrySample {
   obs::MetricsRegistry::Snapshot metrics;
 };
 
-/// One compact JSON object per sample: wall clock, counters, gauges
-/// and streaming-quantile summaries (p50/p95/p99/p99.9). dump() of the
+/// One JSON object per sample: obs::to_json of the snapshot (the
+/// renderer of every report's `metrics` block — counters, gauges and
+/// `streaming` quantile summaries) plus `wall_seconds`. dump() of the
 /// result is a single line — the JSONL time-series row format.
 runner::Json to_json(const TelemetrySample& sample);
 

@@ -18,6 +18,7 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "experiments/adversary_study.hpp"
+#include "experiments/figure_json.hpp"
 #include "fault/fault_plan.hpp"
 #include "graph/generators.hpp"
 #include "metrics/streaming_connectivity.hpp"
@@ -128,12 +129,12 @@ struct SliceBaseline {
   double wall_seconds = 0.0;
 };
 
-/// Slice-boundary registry refresh: monotone counters advance by
-/// their delta since the last boundary, and the operator-facing
-/// gauges (rates, ratios, overlay state) are recomputed. Runs on the
-/// driver thread between run_until slices — every input is a plain
-/// read of simulation state, so refreshing cannot perturb the
-/// trajectory.
+/// Slice-boundary registry refresh: monotone counters (every health
+/// total included) advance by their delta since the last boundary,
+/// and the operator-facing gauges (rates, ratios, overlay state) are
+/// recomputed. Runs on the driver thread between run_until slices —
+/// every input is a plain read of simulation state, so refreshing
+/// cannot perturb the trajectory.
 void refresh_registry(obs::MetricsRegistry& registry, SliceBaseline& prev,
                       std::uint64_t events,
                       const metrics::ProtocolHealth& health,
@@ -142,38 +143,13 @@ void refresh_registry(obs::MetricsRegistry& registry, SliceBaseline& prev,
                       double wall_seconds, double sim_time, std::size_t cores,
                       std::size_t online, std::size_t overlay_edges) {
   registry.add_counter("sim_events", events - prev.events);
-  const auto bump = [&](const char* name, std::uint64_t now,
-                        std::uint64_t before) {
-    registry.add_counter(name, now - before);
-  };
-  bump("protocol_requests_sent", health.requests_sent,
-       prev.health.requests_sent);
-  bump("protocol_responses_sent", health.responses_sent,
-       prev.health.responses_sent);
-  bump("protocol_exchanges_completed", health.exchanges_completed,
-       prev.health.exchanges_completed);
-  bump("protocol_request_timeouts", health.request_timeouts,
-       prev.health.request_timeouts);
-  bump("protocol_request_retries", health.request_retries,
-       prev.health.request_retries);
-  bump("transport_messages_sent", health.messages_sent,
-       prev.health.messages_sent);
-  bump("transport_messages_delivered", health.messages_delivered,
-       prev.health.messages_delivered);
-  bump("transport_messages_dropped", health.messages_dropped,
-       prev.health.messages_dropped);
-  bump("defense_forged_rejected", health.forged_rejected,
-       prev.health.forged_rejected);
-  bump("defense_requests_rate_limited", health.requests_rate_limited,
-       prev.health.requests_rate_limited);
+  experiments::add_health_metrics(registry, health, {}, prev.health);
 
   registry.set_gauge("service_sim_time_periods", sim_time);
   registry.set_gauge("service_wall_seconds", wall_seconds);
   registry.set_gauge("service_online_nodes", static_cast<double>(online));
   registry.set_gauge("service_overlay_edges",
                      static_cast<double>(overlay_edges));
-  registry.set_gauge("protocol_honest_completion_rate",
-                     health.honest_completion_rate());
 
   const double slice_wall = wall_seconds - prev.wall_seconds;
   const double slice_events = static_cast<double>(events - prev.events);

@@ -285,7 +285,11 @@ TEST(Adversary, SweepHasExpectedShapeAndPassesZeroCheck) {
   const runner::Json j = to_json(fig);
   EXPECT_TRUE(j.at("zero_adversary_identical").as_bool());
   EXPECT_EQ(j.at("connectivity").size(), 2u);
-  EXPECT_GT(j.at("health").at(0).at("forged_injected").as_uint(), 0u);
+  EXPECT_FALSE(j.contains("health"));
+  const auto counters = collect_metrics(fig).snapshot().counters;
+  EXPECT_GT(counters.at("attack_forged_injected{series=pollute-open}"), 0u);
+  EXPECT_GT(counters.at("defense_forged_rejected{series=pollute-defended}"),
+            0u);
   EXPECT_EQ(runner::Json::parse(j.dump(2)), j);
 }
 

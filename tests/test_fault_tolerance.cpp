@@ -250,12 +250,19 @@ TEST(FaultTolerance, FaultFigureJsonCarriesHealthBlock) {
   ASSERT_TRUE(j.is_object());
   EXPECT_EQ(j.at("connectivity").size(), 3u);
   EXPECT_EQ(j.at("completion").size(), 3u);
-  ASSERT_EQ(j.at("health").size(), 3u);
-  EXPECT_EQ(j.at("health").at(0).at("name").as_string(), "lossless");
-  EXPECT_GT(j.at("health").at(1).at("request_retries").as_uint(), 0u);
-  EXPECT_GT(j.at("health").at(2).at("request_timeouts").as_uint(), 0u);
-  EXPECT_EQ(j.at("health").at(2).at("request_retries").as_uint(), 0u);
-  EXPECT_GT(j.at("health").at(0).at("completion_rate").as_double(), 0.0);
+  // Health is written once, as registry cells keyed by series name —
+  // not as a second copy inside the figure payload.
+  EXPECT_FALSE(j.contains("health"));
+  ASSERT_EQ(fig.connectivity.size(), 3u);
+  EXPECT_EQ(fig.connectivity[0].name, "lossless");
+  const auto snap = collect_metrics(fig).snapshot();
+  const auto cell = [&](const char* name, std::size_t series) {
+    return obs::metric_key(name, {{"series", fig.connectivity[series].name}});
+  };
+  EXPECT_GT(snap.counters.at(cell("protocol_request_retries", 1)), 0u);
+  EXPECT_GT(snap.counters.at(cell("protocol_request_timeouts", 2)), 0u);
+  EXPECT_EQ(snap.counters.at(cell("protocol_request_retries", 2)), 0u);
+  EXPECT_GT(snap.gauges.at(cell("protocol_completion_rate", 0)), 0.0);
   // The document survives a dump/parse round trip unchanged.
   EXPECT_EQ(runner::Json::parse(j.dump(2)), j);
 }

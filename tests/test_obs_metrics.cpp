@@ -1,4 +1,4 @@
-// Metrics registry: key rendering, counter/gauge/histogram semantics
+// Metrics registry: key rendering, counter/gauge/streaming semantics
 // and the JSON projection the bench envelopes embed.
 #include <gtest/gtest.h>
 
@@ -31,35 +31,27 @@ TEST(MetricsRegistry, GaugesKeepLatestValue) {
   MetricsRegistry registry;
   registry.set_gauge("rate", 0.25);
   registry.set_gauge("rate", 0.75);
-  ASSERT_EQ(registry.gauges().count("rate"), 1u);
-  EXPECT_EQ(registry.gauges().at("rate"), 0.75);
-}
-
-TEST(MetricsRegistry, HistogramCellsAreStable) {
-  MetricsRegistry registry;
-  Histogram& h = registry.histogram("latency", {{"node", "5"}});
-  h.add(1);
-  h.add(3);
-  // Second lookup returns the same cell.
-  EXPECT_EQ(registry.histogram("latency", {{"node", "5"}}).total(), 2u);
+  const auto gauges = registry.snapshot().gauges;
+  ASSERT_EQ(gauges.count("rate"), 1u);
+  EXPECT_EQ(gauges.at("rate"), 0.75);
 }
 
 TEST(MetricsRegistry, JsonProjectionCarriesAllSections) {
   MetricsRegistry registry;
   registry.add_counter("sent", 5, {{"series", "overlay"}});
   registry.set_gauge("completion", 0.5);
-  Histogram& h = registry.histogram("degree");
-  for (std::size_t i = 1; i <= 4; ++i) h.add(i);
+  for (int i = 1; i <= 4; ++i) registry.observe("latency", i);
 
   const auto doc = runner::Json::parse(to_json(registry).dump());
   EXPECT_EQ(doc.at("counters").at("sent{series=overlay}").as_uint(), 5u);
   EXPECT_EQ(doc.at("gauges").at("completion").as_double(), 0.5);
-  const auto& deg = doc.at("histograms").at("degree");
-  EXPECT_EQ(deg.at("count").as_uint(), 4u);
-  EXPECT_EQ(deg.at("mean").as_double(), 2.5);
-  EXPECT_TRUE(deg.contains("p50"));
-  EXPECT_TRUE(deg.contains("p99"));
-  EXPECT_EQ(deg.at("max").as_double(), 4.0);
+  const auto& latency = doc.at("streaming").at("latency");
+  EXPECT_EQ(latency.at("count").as_uint(), 4u);
+  EXPECT_EQ(latency.at("mean").as_double(), 2.5);
+  EXPECT_TRUE(latency.contains("p50"));
+  EXPECT_TRUE(latency.contains("p99"));
+  EXPECT_EQ(latency.at("max").as_double(), 4.0);
+  EXPECT_FALSE(doc.contains("histograms"));
 }
 
 }  // namespace

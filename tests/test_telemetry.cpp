@@ -182,16 +182,6 @@ TEST(Prometheus, StreamingHistogramExposition) {
   EXPECT_EQ(prev, 2u);  // the +Inf bucket saw everything
 }
 
-TEST(Prometheus, PlainHistogramRendersAsSummary) {
-  obs::MetricsRegistry registry;
-  auto& hist = registry.histogram("hops");
-  for (std::size_t i = 0; i < 10; ++i) hist.add(i);
-  const std::string text = telemetry::render_prometheus(registry);
-  EXPECT_NE(text.find("# TYPE hops summary\n"), std::string::npos) << text;
-  EXPECT_NE(text.find("hops{quantile=\"0.5\"}"), std::string::npos) << text;
-  EXPECT_NE(text.find("hops_count 10\n"), std::string::npos) << text;
-}
-
 TEST(Prometheus, ContentTypeIsTextFormat04) {
   EXPECT_EQ(std::string(telemetry::prometheus_content_type()),
             "text/plain; version=0.0.4; charset=utf-8");
@@ -304,11 +294,26 @@ TEST(TelemetryTicker, SamplesRegistryAndExportsJsonl) {
     EXPECT_TRUE(row.contains("wall_seconds"));
     EXPECT_EQ(row.at("counters").at("work_done").as_int(), 17);
     EXPECT_DOUBLE_EQ(row.at("gauges").at("temperature").as_double(), 21.5);
-    EXPECT_EQ(row.at("quantiles").at("latency").at("count").as_int(), 1);
+    EXPECT_EQ(row.at("streaming").at("latency").at("count").as_int(), 1);
     ++rows;
   }
   EXPECT_GE(rows, 1u);
   std::remove(path.c_str());
+}
+
+// A JSONL row is the report envelope's `metrics` block plus the
+// sample's wall clock: one renderer for both.
+TEST(TelemetryTicker, RowIsTheMetricsBlockPlusWallClock) {
+  obs::MetricsRegistry registry;
+  registry.add_counter("work_done", 3, {{"shard", "1"}});
+  registry.set_gauge("temperature", 1.5);
+  registry.observe("latency", 0.5);
+  telemetry::TelemetrySample sample;
+  sample.wall_seconds = 2.0;
+  sample.metrics = registry.snapshot();
+  runner::Json expected = obs::to_json(sample.metrics);
+  expected["wall_seconds"] = 2.0;
+  EXPECT_EQ(telemetry::to_json(sample), expected);
 }
 
 TEST(TelemetryTicker, RingJsonlMatchesSampleCount) {

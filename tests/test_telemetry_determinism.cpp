@@ -9,6 +9,8 @@
 #include <fstream>
 #include <string>
 
+#include "metrics/protocol_health.hpp"
+#include "obs/metrics_registry.hpp"
 #include "runner/json.hpp"
 #include "telemetry/service_mode.hpp"
 
@@ -133,6 +135,29 @@ TEST(ServiceModeDeterminism, FinalSnapshotCarriesStreamingQuantiles) {
   EXPECT_EQ(report.metrics.counters.at("protocol_requests_sent"),
             report.health.requests_sent);
   std::remove(jsonl.c_str());
+}
+
+// The slice refresh exports the whole health record: a run that
+// started cold ends with every total equal to its field and the level
+// as a gauge. The refresh runs with the telemetry plane off too.
+TEST(ServiceModeDeterminism, FinalCountersEqualEveryHealthTotal) {
+  const auto report = telemetry::run_service_mode(base_options(2));
+  ASSERT_FALSE(report.resumed);
+  for (const metrics::HealthField& field : metrics::kHealthFields) {
+    const std::uint64_t value = report.health.*field.member;
+    if (field.kind == metrics::HealthKind::kTotal) {
+      ASSERT_EQ(report.metrics.counters.count(field.name), 1u) << field.name;
+      EXPECT_EQ(report.metrics.counters.at(field.name), value) << field.name;
+    } else {
+      ASSERT_EQ(report.metrics.gauges.count(field.name), 1u) << field.name;
+      EXPECT_EQ(report.metrics.gauges.at(field.name),
+                static_cast<double>(value))
+          << field.name;
+    }
+  }
+  // The workload's arms actually moved the attack and defense totals.
+  EXPECT_GT(report.health.forged_injected, 0u);
+  EXPECT_GT(report.health.forged_rejected, 0u);
 }
 
 }  // namespace

@@ -28,21 +28,24 @@
 // memory footprint (when both reports carry one), when both reports
 // carry sweep telemetry, the per-cell seconds, and, for multi-run
 // reports (scale_single_run), each shard count's wall time and peak
-// RSS. Also diffs every
-// ProtocolHealth rollup found anywhere in the two documents
-// (recognized by its requests_sent/messages_sent counters, keyed by
-// JSON path) and the envelope's `metrics` registry block — advisory by
-// default, since counter drift usually means the workload changed, not
-// that it regressed. `--strict-counters` turns any counter difference
-// into a failure, which is how CI pins exact determinism of a fixed
-// seed. Exit code: 0 = within threshold (or candidate faster), 1 =
-// regression beyond threshold, 2 = usage/parse error. Reports from
-// different artefacts or schema versions diff with a warning — the
-// numbers may not be comparable.
+// RSS. Counters are read from one kind of block: the envelope's
+// `metrics` registry block and, in multi-run reports, each
+// `runs[K].metrics` block — advisory by default, since counter drift
+// usually means the workload changed, not that it regressed.
+// `--strict-counters` turns any counter difference into a failure,
+// which is how CI pins exact determinism of a fixed seed. Exit code:
+// 0 = within threshold (or candidate faster), 1 = regression beyond
+// threshold, 2 = usage or parse error — including a `--threshold` that
+// is not a number >= 0, a `--last` that is not an integer >= 1, and a
+// report field of the wrong type.
+// Reports from different artefacts or schema versions diff with a
+// warning — the numbers may not be comparable.
 //
 // Intended for CI: run the reduced-scale bench, then diff against the
 // committed baseline (e.g. BENCH_fig3.json) so >20% slowdowns surface
 // in the job log before they land.
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -108,173 +111,135 @@ std::string field_or(const Json& doc, const char* key,
   return fallback;
 }
 
-/// A ProtocolHealth rollup is any object carrying both flagship
-/// counters — that shape is stable across every bench that embeds one.
-bool looks_like_health(const Json& value) {
-  return value.is_object() && value.contains("requests_sent") &&
-         value.contains("messages_sent");
+/// The named object member, or an empty object when absent.
+const Json& object_or_empty(const Json& doc, const char* key) {
+  static const Json kEmpty = Json::object();
+  if (doc.contains(key) && doc.at(key).is_object()) return doc.at(key);
+  return kEmpty;
 }
 
-/// Collects every health rollup in the document keyed by its JSON
-/// path (e.g. "figure.health[2]"), with the entry's own "name"/"alpha"
-/// discriminator appended so paths stay meaningful when arrays are
-/// reordered between schema versions.
-void collect_health(const Json& value, const std::string& path,
-                    std::map<std::string, const Json*>& out) {
-  if (looks_like_health(value)) {
-    std::string key = path;
-    if (value.contains("name") && value.at("name").is_string())
-      key += "(" + value.at("name").as_string() + ")";
-    else if (value.contains("alpha") && value.at("alpha").is_number())
-      key += "(alpha=" + std::to_string(value.at("alpha").as_double()) + ")";
-    out.emplace(key, &value);
-    return;
-  }
-  if (value.is_object()) {
-    for (const auto& [k, v] : value.members())
-      collect_health(v, path.empty() ? k : path + "." + k, out);
-  } else if (value.is_array()) {
-    for (std::size_t i = 0; i < value.size(); ++i)
-      collect_health(value.at(i), path + "[" + std::to_string(i) + "]", out);
-  }
+/// Prints `what: b -> c` when both are numbers and differ. Returns
+/// whether it printed.
+bool report_change(const std::string& what, const Json& bval,
+                   const Json& cval, const char* note) {
+  if (!bval.is_number() || !cval.is_number()) return false;
+  const double b = bval.as_double();
+  const double c = cval.as_double();
+  if (b == c) return false;
+  std::cout << "  " << what << ": " << b << " -> " << c;
+  if (b > 0.0) std::cout << " (" << percent(ratio_change(b, c)) << ")";
+  std::cout << note << "\n";
+  return true;
 }
 
-/// Diffs the numeric members two health rollups share. Returns the
-/// number of differing counters (rates are reported but not counted —
-/// they are derived values).
-std::size_t diff_health(const std::string& key, const Json& base,
-                        const Json& cand) {
+/// Diffs one section of two `metrics` registry blocks. Scalar cells
+/// ("counters", "gauges") compare directly; "streaming" cells compare
+/// field by field, where `count` is a counter and the quantiles are
+/// advisory (they move with machine load and bucket resolution).
+/// Returns the number of differing, missing or new counter-like
+/// entries; callers ignore it for gauges, which are derived values.
+std::size_t diff_section(const Json& base, const Json& cand,
+                         const char* section, const std::string& label) {
+  const Json& b = object_or_empty(base, section);
+  const Json& c = object_or_empty(cand, section);
+  const std::string prefix = label + "." + section + " ";
   std::size_t changed = 0;
-  for (const auto& [name, bval] : base.members()) {
-    if (!bval.is_number() || !cand.contains(name)) continue;
-    const Json& cval = cand.at(name);
-    if (!cval.is_number()) continue;
-    const double b = bval.as_double();
-    const double c = cval.as_double();
-    if (b == c) continue;
-    const bool rate = name.find("_rate") != std::string::npos;
-    std::cout << "  health " << key << "." << name << ": " << b << " -> "
-              << c;
-    if (b > 0.0) std::cout << " (" << percent(ratio_change(b, c)) << ")";
-    std::cout << (rate ? " [derived]" : "") << "\n";
-    if (!rate) ++changed;
+  for (const auto& [key, bval] : b.members()) {
+    if (!c.contains(key)) {
+      std::cout << "  " << prefix << key << ": missing from candidate\n";
+      ++changed;
+      continue;
+    }
+    const Json& cval = c.at(key);
+    if (!bval.is_object() || !cval.is_object()) {
+      changed += report_change(prefix + key, bval, cval, "");
+      continue;
+    }
+    for (const auto& [field, bfield] : bval.members()) {
+      if (!cval.contains(field)) continue;
+      const bool is_count = field == "count";
+      if (report_change(prefix + key + "." + field, bfield, cval.at(field),
+                        is_count ? "" : " [quantile: advisory]"))
+        changed += is_count;
+    }
   }
-  return changed;
-}
-
-/// Diffs one section ("counters" or "gauges") of two envelope
-/// `metrics` registry blocks. Returns the number of differing or
-/// missing entries.
-std::size_t diff_metric_section(const Json& base, const Json& cand,
-                                const char* section) {
-  std::size_t changed = 0;
-  const bool has_base = base.contains(section) && base.at(section).is_object();
-  const bool has_cand = cand.contains(section) && cand.at(section).is_object();
-  if (!has_base && !has_cand) return 0;
-  if (has_base) {
-    for (const auto& [key, bval] : base.at(section).members()) {
-      if (!has_cand || !cand.at(section).contains(key)) {
-        std::cout << "  metrics." << section << " " << key
-                  << ": missing from candidate\n";
-        ++changed;
-        continue;
-      }
-      const Json& cval = cand.at(section).at(key);
-      if (!bval.is_number() || !cval.is_number()) continue;
-      const double b = bval.as_double();
-      const double c = cval.as_double();
-      if (b == c) continue;
-      std::cout << "  metrics." << section << " " << key << ": " << b
-                << " -> " << c;
-      if (b > 0.0) std::cout << " (" << percent(ratio_change(b, c)) << ")";
-      std::cout << "\n";
+  for (const auto& [key, cval] : c.members()) {
+    (void)cval;
+    if (!b.contains(key)) {
+      std::cout << "  " << prefix << key << ": new in candidate\n";
       ++changed;
     }
   }
-  if (has_cand) {
-    for (const auto& [key, cval] : cand.at(section).members()) {
-      (void)cval;
-      if (!has_base || !base.at(section).contains(key)) {
-        std::cout << "  metrics." << section << " " << key
-                  << ": new in candidate\n";
-        ++changed;
-      }
-    }
-  }
   return changed;
 }
 
-/// Diffs one nested-object section of two `metrics` blocks —
-/// "histograms" / "streaming", whose cells are {count, mean, p50,
-/// p95, ...} objects. Quantile and mean drift is advisory (they move
-/// with machine load and bucket resolution); the `count` field is a
-/// counter and contributes to the returned change total, which
-/// --strict-counters turns into a failure.
-std::size_t diff_quantile_section(const Json& base, const Json& cand,
-                                  const char* section) {
-  std::size_t count_changes = 0;
-  const bool has_base = base.contains(section) && base.at(section).is_object();
-  const bool has_cand = cand.contains(section) && cand.at(section).is_object();
-  if (!has_base && !has_cand) return 0;
-  if (has_base) {
-    for (const auto& [key, bcell] : base.at(section).members()) {
-      if (!has_cand || !cand.at(section).contains(key)) {
-        std::cout << "  metrics." << section << " " << key
-                  << ": missing from candidate\n";
-        ++count_changes;
-        continue;
-      }
-      const Json& ccell = cand.at(section).at(key);
-      if (!bcell.is_object() || !ccell.is_object()) continue;
-      for (const auto& [field, bval] : bcell.members()) {
-        if (!bval.is_number() || !ccell.contains(field)) continue;
-        const Json& cval = ccell.at(field);
-        if (!cval.is_number()) continue;
-        const double b = bval.as_double();
-        const double c = cval.as_double();
-        if (b == c) continue;
-        const bool is_count = field == "count";
-        std::cout << "  metrics." << section << " " << key << "." << field
-                  << ": " << b << " -> " << c;
-        if (b > 0.0) std::cout << " (" << percent(ratio_change(b, c)) << ")";
-        std::cout << (is_count ? "" : " [quantile: advisory]") << "\n";
-        if (is_count) ++count_changes;
-      }
-    }
-  }
-  if (has_cand) {
-    for (const auto& [key, ccell] : cand.at(section).members()) {
-      (void)ccell;
-      if (!has_base || !base.at(section).contains(key)) {
-        std::cout << "  metrics." << section << " " << key
-                  << ": new in candidate\n";
-        ++count_changes;
-      }
-    }
-  }
-  return count_changes;
+/// Diffs the `metrics` blocks of two report objects (the envelope, or
+/// one `runs[K]` entry). Returns the counter differences.
+std::size_t diff_metrics(const Json& base, const Json& cand,
+                         const std::string& label) {
+  const Json& bm = object_or_empty(base, "metrics");
+  const Json& cm = object_or_empty(cand, "metrics");
+  std::size_t changed = diff_section(bm, cm, "counters", label);
+  diff_section(bm, cm, "gauges", label);  // derived values: advisory only
+  changed += diff_section(bm, cm, "streaming", label);
+  return changed;
 }
 
-/// The candidate's streaming/histogram quantile summaries in ledger
-/// form: family -> {count, p50, p95, p99, p999}. Rows carry them so a
+/// The candidate's streaming quantile summaries in ledger form:
+/// family -> {count, p50, p95, p99, p999}. Rows carry them so a
 /// history window can show latency drift next to wall time.
 Json quantiles_of(const Json& doc) {
   Json out = Json::object();
-  if (!doc.contains("metrics") || !doc.at("metrics").is_object()) return out;
-  const Json& metrics = doc.at("metrics");
-  for (const char* section : {"streaming", "histograms"}) {
-    if (!metrics.contains(section) || !metrics.at(section).is_object())
-      continue;
-    for (const auto& [key, cell] : metrics.at(section).members()) {
-      if (!cell.is_object()) continue;
-      Json row = Json::object();
-      for (const char* field : {"count", "p50", "p95", "p99", "p999"})
-        if (cell.contains(field) && cell.at(field).is_number())
-          row[field] = cell.at(field).as_double();
-      out[key] = std::move(row);
-    }
+  const Json& streaming =
+      object_or_empty(object_or_empty(doc, "metrics"), "streaming");
+  for (const auto& [key, cell] : streaming.members()) {
+    if (!cell.is_object()) continue;
+    Json row = Json::object();
+    for (const char* field : {"count", "p50", "p95", "p99", "p999"})
+      if (cell.contains(field) && cell.at(field).is_number())
+        row[field] = cell.at(field).as_double();
+    out[key] = std::move(row);
   }
   return out;
+}
+
+/// Flag-value errors exit 2 naming the flag, like every usage error.
+[[noreturn]] void bad_flag_value(const char* flag, const std::string& text,
+                                 const char* expected) {
+  std::cerr << "bench_diff: " << flag << " needs " << expected << ", got '"
+            << text << "'\n";
+  std::exit(2);
+}
+
+/// --threshold: a finite number >= 0 (a fraction, 0.20 = 20%).
+double parse_threshold(const std::string& text) {
+  std::size_t used = 0;
+  double value = -1.0;
+  try {
+    value = std::stod(text, &used);
+  } catch (const std::exception&) {
+    used = 0;
+  }
+  if (used == 0 || used != text.size() || !std::isfinite(value) ||
+      value < 0.0)
+    bad_flag_value("--threshold", text, "a number >= 0");
+  return value;
+}
+
+/// --last: an integer >= 1 (digits only, so no sign or fraction).
+std::size_t parse_last(const std::string& text) {
+  const bool digits =
+      !text.empty() && std::all_of(text.begin(), text.end(), [](char c) {
+        return c >= '0' && c <= '9';
+      });
+  unsigned long long value = 0;
+  try {
+    if (digits) value = std::stoull(text);
+  } catch (const std::exception&) {
+    value = 0;  // out of range
+  }
+  if (value < 1) bad_flag_value("--last", text, "an integer >= 1");
+  return static_cast<std::size_t>(value);
 }
 
 /// Numeric field access tolerant of absence (returns 0.0).
@@ -514,9 +479,7 @@ int run_history_mode(const Json& candidate, const std::string& history_path,
   return regression ? 1 : 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   std::vector<std::string> paths;
   double threshold = 0.20;
   bool strict_counters = false;
@@ -534,15 +497,15 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--threshold") {
-      threshold = std::stod(value_of("--threshold"));
+      threshold = parse_threshold(value_of("--threshold"));
     } else if (arg.rfind("--threshold=", 0) == 0) {
-      threshold = std::stod(arg.substr(12));
+      threshold = parse_threshold(arg.substr(12));
     } else if (arg == "--strict-counters") {
       strict_counters = true;
     } else if (arg == "--history") {
       history_path = value_of("--history");
     } else if (arg == "--last") {
-      last_n = static_cast<std::size_t>(std::stoul(value_of("--last")));
+      last_n = parse_last(value_of("--last"));
     } else if (arg == "--append") {
       append = true;
     } else if (arg == "--commit") {
@@ -552,7 +515,7 @@ int main(int argc, char** argv) {
     }
   }
   if (!history_path.empty()) {
-    if (paths.size() != 1 || last_n == 0) {
+    if (paths.size() != 1) {
       std::cerr << "usage: bench_diff <candidate.json> --history <file>"
                    " [--last N] [--append] [--commit SHA]"
                    " [--threshold 0.20]\n";
@@ -635,8 +598,10 @@ int main(int argc, char** argv) {
               << " vs " << cand_cells.size() << " cells)\n";
   }
 
-  // Multi-run reports carry no envelope wall time: diff each shard
-  // count's wall time and peak RSS instead.
+  // Counters: the envelope's `metrics` block, then each run's. Multi-
+  // run reports carry no envelope wall time: diff each shard count's
+  // wall time and peak RSS instead.
+  std::size_t counter_changes = diff_metrics(baseline, candidate, "metrics");
   const auto base_runs = runs_by_shards(baseline);
   const auto cand_runs = runs_by_shards(candidate);
   for (const auto& [shards, base_run] : base_runs) {
@@ -655,45 +620,9 @@ int main(int argc, char** argv) {
         regression = true;
       }
     }
-  }
-
-  // Health rollups anywhere in the documents, matched by JSON path.
-  std::map<std::string, const Json*> base_health, cand_health;
-  collect_health(baseline, "", base_health);
-  collect_health(candidate, "", cand_health);
-  std::size_t counter_changes = 0;
-  for (const auto& [key, base_entry] : base_health) {
-    const auto it = cand_health.find(key);
-    if (it == cand_health.end()) {
-      std::cout << "  health " << key << ": missing from candidate\n";
-      ++counter_changes;
-      continue;
-    }
-    counter_changes += diff_health(key, *base_entry, *it->second);
-  }
-  for (const auto& [key, entry] : cand_health) {
-    (void)entry;
-    if (base_health.find(key) == base_health.end()) {
-      std::cout << "  health " << key << ": new in candidate\n";
-      ++counter_changes;
-    }
-  }
-
-  // Envelope metrics registry block (schema v3).
-  const bool base_has_metrics =
-      baseline.contains("metrics") && baseline.at("metrics").is_object();
-  const bool cand_has_metrics =
-      candidate.contains("metrics") && candidate.at("metrics").is_object();
-  if (base_has_metrics || cand_has_metrics) {
-    static const Json kEmpty = Json::object();
-    const Json& bm = base_has_metrics ? baseline.at("metrics") : kEmpty;
-    const Json& cm = cand_has_metrics ? candidate.at("metrics") : kEmpty;
-    counter_changes += diff_metric_section(bm, cm, "counters");
-    diff_metric_section(bm, cm, "gauges");  // derived values: advisory only
-    // Histogram/streaming quantiles: the `count` fields are counters
-    // (strict-gated); the quantiles themselves are advisory.
-    counter_changes += diff_quantile_section(bm, cm, "histograms");
-    counter_changes += diff_quantile_section(bm, cm, "streaming");
+    counter_changes += diff_metrics(
+        *base_run, *it->second,
+        "runs[K=" + std::to_string(shards) + "].metrics");
   }
 
   if (counter_changes > 0) {
@@ -707,4 +636,18 @@ int main(int argc, char** argv) {
   std::cout << (regression ? "RESULT: regression beyond threshold\n"
                            : "RESULT: within threshold\n");
   return regression ? 1 : 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A report that parses as JSON but holds a wrong-typed field (say a
+  // string `wall_seconds`) makes a Json accessor throw: that is a
+  // parse error of the input, exit 2, not an abort.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "bench_diff: malformed report: " << e.what() << "\n";
+    return 2;
+  }
 }
