@@ -117,8 +117,7 @@ int main(int argc, char** argv) {
   const Cli cli(argc, argv);
   bench::apply_logging(cli);
 
-  const std::size_t nodes =
-      static_cast<std::size_t>(cli.get_int("nodes", 100'000));
+  const std::size_t nodes = cli.get_size("nodes", 100'000, /*min=*/2);
   const double alpha = cli.get_double("alpha", 0.5);
   const double horizon = cli.get_double("horizon", 20.0);
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
@@ -133,11 +132,11 @@ int main(int argc, char** argv) {
       cli.get_string("trace-out", "scale_single_run");
 
   overlay::OverlayServiceOptions options;
-  options.params.cache_size = static_cast<std::size_t>(cli.get_int("cache", 50));
+  options.params.cache_size = cli.get_size("cache", 50, /*min=*/1);
   options.params.shuffle_length =
-      static_cast<std::size_t>(cli.get_int("shuffle-length", 10));
+      cli.get_size("shuffle-length", 10, /*min=*/1);
   options.params.target_links =
-      static_cast<std::size_t>(cli.get_int("target-links", 20));
+      cli.get_size("target-links", 20, /*min=*/0);
   options.params.pseudonym_lifetime = 90.0;
 
   std::cout << "==============================================================\n"

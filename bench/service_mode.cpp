@@ -9,9 +9,10 @@
 //   /healthz   liveness probe
 //   --telemetry-out <path>   every sample appended as one JSONL line
 //
-// Workload arms (all optional, composable): --loss (link faults),
-// --adversary + --attack [+ --defended] (Byzantine roles), --observer
-// (passive link-privacy observer).
+// Workload arms (all optional, composable): --loss (link faults, with
+// shuffle timeouts and one retry), --adversary + --attack
+// [+ --defended] (Byzantine roles), --observer (passive link-privacy
+// observer).
 //
 // Determinism: for a fixed --horizon, the trajectory fingerprint is
 // bit-identical with telemetry on or off (the plane is read-only and
@@ -37,7 +38,7 @@ int main(int argc, char** argv) {
   bench::apply_logging(cli);
 
   telemetry::ServiceModeOptions opt;
-  opt.nodes = static_cast<std::size_t>(cli.get_int("nodes", 5000));
+  opt.nodes = cli.get_size("nodes", 5000, /*min=*/2);
   opt.alpha = cli.get_double("alpha", 0.5);
   opt.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
   opt.shards = cli.get_size("shards", 4, /*min=*/1);
@@ -49,17 +50,14 @@ int main(int argc, char** argv) {
   opt.adversary_attack = cli.get_string("attack", "mixed");
   opt.defended = cli.get_bool("defended", false);
   opt.observer_coverage = cli.get_double("observer", 0.0);
-  opt.cache_size = static_cast<std::size_t>(cli.get_int("cache", 50));
-  opt.shuffle_length =
-      static_cast<std::size_t>(cli.get_int("shuffle-length", 10));
-  opt.target_links =
-      static_cast<std::size_t>(cli.get_int("target-links", 20));
+  opt.cache_size = cli.get_size("cache", 50, /*min=*/1);
+  opt.shuffle_length = cli.get_size("shuffle-length", 10, /*min=*/1);
+  opt.target_links = cli.get_size("target-links", 20, /*min=*/0);
   opt.profile = cli.get_bool("profile", true);
   opt.port = static_cast<int>(cli.get_int("telemetry-port", -1));
   opt.telemetry_out = cli.get_string("telemetry-out", "");
   opt.sample_interval_seconds = cli.get_double("sample-interval", 1.0);
-  opt.ring_capacity =
-      static_cast<std::size_t>(cli.get_int("ring-capacity", 600));
+  opt.ring_capacity = cli.get_size("ring-capacity", 600, /*min=*/1);
   opt.checkpoint_every = cli.get_double("checkpoint-every", 0.0);
   opt.checkpoint_dir = cli.get_string("checkpoint-dir", "");
   opt.resume = cli.get_bool("resume", false);

@@ -86,25 +86,44 @@ class Arena {
   std::size_t reserved_ = 0;
 };
 
-/// Fixed-capacity record block carved from an arena (or self-owned for
-/// standalone construction in tests). The pooled replacement for a
-/// per-exchange heap vector: one block per node, reused by every
-/// exchange, zero steady-state allocation.
+/// Fixed-length, value-initialized array carved from an arena (or
+/// self-owned for standalone construction in tests).
+template <typename T>
+class FixedArray {
+ public:
+  FixedArray() = default;
+  FixedArray(Arena& arena, std::size_t size)
+      : storage_(arena.allocate_span<T>(size)) {}
+  explicit FixedArray(std::size_t size)
+      : owned_(size), storage_(owned_.data(), owned_.size()) {}
+
+  // Moves keep spans valid (arena chunks and vector buffers do not
+  // relocate on move); copies would alias the storage, so: no copies.
+  FixedArray(FixedArray&&) noexcept = default;
+  FixedArray& operator=(FixedArray&&) noexcept = default;
+  FixedArray(const FixedArray&) = delete;
+  FixedArray& operator=(const FixedArray&) = delete;
+
+  std::size_t size() const { return storage_.size(); }
+  T& operator[](std::size_t i) { return storage_[i]; }
+  const T& operator[](std::size_t i) const { return storage_[i]; }
+  std::span<T> span() { return storage_; }
+  std::span<const T> span() const { return storage_; }
+
+ private:
+  std::vector<T> owned_;
+  std::span<T> storage_;
+};
+
+/// Fixed-capacity record block on a FixedArray. The pooled
+/// replacement for a per-exchange heap vector: one block per node,
+/// reused by every exchange, zero steady-state allocation.
 template <typename T>
 class FixedBlock {
  public:
   FixedBlock() = default;
-  FixedBlock(Arena& arena, std::size_t capacity)
-      : storage_(arena.allocate_span<T>(capacity)) {}
-  explicit FixedBlock(std::size_t capacity)
-      : owned_(capacity), storage_(owned_.data(), owned_.size()) {}
-
-  // Moves keep spans valid (arena chunks and vector buffers do not
-  // relocate on move); copies would alias the storage, so: no copies.
-  FixedBlock(FixedBlock&&) noexcept = default;
-  FixedBlock& operator=(FixedBlock&&) noexcept = default;
-  FixedBlock(const FixedBlock&) = delete;
-  FixedBlock& operator=(const FixedBlock&) = delete;
+  FixedBlock(Arena& arena, std::size_t capacity) : storage_(arena, capacity) {}
+  explicit FixedBlock(std::size_t capacity) : storage_(capacity) {}
 
   std::size_t size() const { return size_; }
   std::size_t capacity() const { return storage_.size(); }
@@ -132,11 +151,10 @@ class FixedBlock {
     size_ = values.size();
   }
 
-  std::span<const T> items() const { return storage_.first(size_); }
+  std::span<const T> items() const { return storage_.span().first(size_); }
 
  private:
-  std::vector<T> owned_;
-  std::span<T> storage_;
+  FixedArray<T> storage_;
   std::size_t size_ = 0;
 };
 

@@ -1,33 +1,21 @@
 #include "common/flat_map.hpp"
 
+#include <algorithm>
+
 namespace ppo {
 
-namespace {
-std::size_t next_pow2(std::size_t n) {
+std::size_t table_slots(std::size_t expected) {
+  const std::size_t wanted = std::max<std::size_t>(16, expected * 2);
   std::size_t p = 1;
-  while (p < n) p <<= 1;
+  while (p < wanted) p <<= 1;
   return p;
 }
-}  // namespace
 
-FlatMap64::FlatMap64(std::size_t expected) {
-  // Cap load factor around 0.5 for short probe chains.
-  const std::size_t capacity = next_pow2(std::max<std::size_t>(16, expected * 2));
-  slots_.resize(capacity);
-  mask_ = capacity - 1;
-}
-
-std::uint64_t FlatMap64::mix(std::uint64_t key) {
-  // SplitMix64 finalizer: full-avalanche mixing of the key.
-  key ^= key >> 30;
-  key *= 0xBF58476D1CE4E5B9ULL;
-  key ^= key >> 27;
-  key *= 0x94D049BB133111EBULL;
-  key ^= key >> 31;
-  return key;
-}
+FlatMap64::FlatMap64(std::size_t expected)
+    : mask_(table_slots(expected) - 1) {}
 
 std::uint32_t* FlatMap64::find(std::uint64_t key) {
+  if (slots_.empty()) return nullptr;
   std::size_t i = probe_start(key);
   while (slots_[i].occupied) {
     if (slots_[i].key == key) return &slots_[i].value;
@@ -42,6 +30,7 @@ const std::uint32_t* FlatMap64::find(std::uint64_t key) const {
 
 void FlatMap64::insert(std::uint64_t key, std::uint32_t value) {
   PPO_DCHECK(find(key) == nullptr);
+  if (slots_.empty()) slots_.resize(mask_ + 1);
   if ((size_ + 1) * 2 > slots_.size()) grow();
   std::size_t i = probe_start(key);
   while (slots_[i].occupied) i = (i + 1) & mask_;
@@ -50,6 +39,7 @@ void FlatMap64::insert(std::uint64_t key, std::uint32_t value) {
 }
 
 bool FlatMap64::erase(std::uint64_t key) {
+  if (slots_.empty()) return false;
   std::size_t i = probe_start(key);
   while (slots_[i].occupied && slots_[i].key != key) i = (i + 1) & mask_;
   if (!slots_[i].occupied) return false;

@@ -1,10 +1,13 @@
 // Small open-addressing hash map from uint64 keys to uint32 values,
-// built for simulation hot paths: contiguous storage, no per-node
-// allocation, linear probing with backward-shift deletion. Used by
-// the pseudonym cache, where std::unordered_map's node allocations
-// dominated the profile.
+// built for simulation hot paths: contiguous storage, no per-entry
+// allocation, linear probing with backward-shift deletion. The table
+// is allocated on the first insert, so a map that is never filled
+// costs nothing but the object. Used by the population estimator's
+// seen-pseudonym index and the CSR builder's edge set; the pseudonym
+// cache keeps its own two-byte index with the same size rule and mix.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -12,9 +15,25 @@
 
 namespace ppo {
 
+/// SplitMix64 finalizer: full-avalanche mixing of a 64-bit key.
+inline std::uint64_t mix64(std::uint64_t key) {
+  key ^= key >> 30;
+  key *= 0xBF58476D1CE4E5B9ULL;
+  key ^= key >> 27;
+  key *= 0x94D049BB133111EBULL;
+  key ^= key >> 31;
+  return key;
+}
+
+/// Slot count of a linear-probing table sized for about `expected`
+/// keys without growth: the next power of two at or above
+/// max(16, 2 x expected), i.e. a load factor of at most 1/2.
+std::size_t table_slots(std::size_t expected);
+
 class FlatMap64 {
  public:
-  /// Sizes the table for about `expected` entries without growth.
+  /// Plans a table for about `expected` entries; the slots are
+  /// allocated on the first insert.
   explicit FlatMap64(std::size_t expected = 16);
 
   std::size_t size() const { return size_; }
@@ -40,13 +59,13 @@ class FlatMap64 {
     bool occupied = false;
   };
 
-  static std::uint64_t mix(std::uint64_t key);
   std::size_t probe_start(std::uint64_t key) const {
-    return static_cast<std::size_t>(mix(key)) & mask_;
+    return static_cast<std::size_t>(mix64(key)) & mask_;
   }
   void grow();
 
   std::vector<Slot> slots_;
+  /// Mask of the table size, planned before the table exists.
   std::size_t mask_ = 0;
   std::size_t size_ = 0;
 };

@@ -3,18 +3,18 @@
 // overwrite the entries we just sent to that partner, then random
 // victims. Expired pseudonyms are purged on access.
 //
-// Entry storage is a fixed-capacity block carved from a caller-owned
-// Arena in service mode (one pool for all nodes, no per-node heap
-// churn), or self-owned when constructed standalone (tests).
+// Entry storage and its value index are fixed-size blocks carved from
+// a caller-owned Arena in service mode (one pool for all nodes, no
+// per-node heap), or self-owned when constructed standalone (tests).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "ckpt/io.hpp"
 #include "common/arena.hpp"
-#include "common/flat_map.hpp"
 #include "common/rng.hpp"
 #include "privacylink/pseudonym.hpp"
 
@@ -25,6 +25,10 @@ using privacylink::PseudonymValue;
 
 class PseudonymCache {
  public:
+  /// The index names an entry by its position + 1 in two bytes.
+  static constexpr std::size_t kMaxCapacity = 65535;
+
+  /// Capacity must lie in [1, kMaxCapacity].
   explicit PseudonymCache(std::size_t capacity);
   PseudonymCache(Arena& arena, std::size_t capacity);
 
@@ -38,7 +42,8 @@ class PseudonymCache {
   bool contains(PseudonymValue value) const;
 
   /// Selects up to `k` random distinct live entries (a shuffle
-  /// message body). Expired entries encountered are dropped.
+  /// message body). Expired entries encountered are dropped. Its
+  /// index scratch belongs to the calling thread, not to the cache.
   std::vector<PseudonymRecord> select_random(std::size_t k, sim::Time now,
                                              Rng& rng);
 
@@ -65,15 +70,22 @@ class PseudonymCache {
   void load_state(ckpt::Reader& r);
 
  private:
+  std::size_t home_slot(PseudonymValue value) const;
+  /// The index slot naming `value`'s entry, or the empty slot that
+  /// ends its probe chain when `value` is absent.
+  std::size_t find_slot(PseudonymValue value) const;
+  /// The index slot naming the entry at `position`.
+  std::size_t slot_of(std::size_t position) const;
   void insert_entry(const PseudonymRecord& record);
   void erase_at(std::size_t index);
 
   sim::Time last_purge_ = -1.0;
   FixedBlock<PseudonymRecord> entries_;
-  /// value -> position in entries_; flat table, no node allocation.
-  FlatMap64 index_;
-  /// Reused by select_random to avoid per-call allocation.
-  std::vector<std::size_t> scratch_;
+  /// value -> position in entries_, carved right after them: a linear
+  /// probing table of table_slots(capacity) slots, each 0 when empty,
+  /// else the entry's position + 1. Probes compare keys through
+  /// entries_, so the table holds no keys of its own.
+  FixedArray<std::uint16_t> slots_;
 };
 
 }  // namespace ppo::overlay

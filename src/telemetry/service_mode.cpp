@@ -238,6 +238,11 @@ ServiceModeReport run_service_mode(const ServiceModeOptions& opt) {
     options.params.sampler_min_dwell = defaults.sampler_min_dwell;
   }
   if (opt.loss > 0.0) {
+    // Lost shuffles time out and are retried, with the adversary
+    // study's timeout and retry budget.
+    const experiments::AdversarySpec defaults;
+    options.params.shuffle_timeout = defaults.shuffle_timeout;
+    options.params.shuffle_max_retries = defaults.max_retries;
     fault::FaultPlan plan;
     plan.drop_probability = opt.loss;
     // Per-link fate streams make the fault draws K-invariant.

@@ -60,7 +60,9 @@ struct ServiceModeOptions {
   double slice = 1.0;
 
   // --- optional arms ---
-  double loss = 0.0;                     // per-message drop probability
+  /// Per-message drop probability; above 0 it also arms the shuffle
+  /// timeout (0.25 periods) and one retry, the adversary study's.
+  double loss = 0.0;
   double adversary_fraction = 0.0;       // attacker fraction of nodes
   std::string adversary_attack = "mixed";  // pollute/eclipse/drop/replay/mixed
   bool defended = false;                 // arm the §III-E defenses

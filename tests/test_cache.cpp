@@ -125,6 +125,9 @@ TEST(Cache, SelectionIsRoughlyUniform) {
 
 TEST(Cache, RejectsZeroCapacity) {
   EXPECT_THROW(PseudonymCache(0), CheckError);
+  // The index names entries by position + 1 in two bytes.
+  EXPECT_THROW(PseudonymCache(65536), CheckError);
+  EXPECT_NO_THROW(PseudonymCache(65535));
 }
 
 }  // namespace

@@ -49,6 +49,21 @@ TEST(FlatMap, GrowsPastInitialCapacity) {
   }
 }
 
+TEST(FlatMap, NeverFilledTableAnswersWithoutSlots) {
+  // The slots are allocated on the first insert; lookups, erases and
+  // clears on a map that was never filled must work without them.
+  FlatMap64 map(400);
+  const FlatMap64& view = map;
+  EXPECT_EQ(map.find(7), nullptr);
+  EXPECT_EQ(view.find(0), nullptr);
+  EXPECT_FALSE(map.erase(7));
+  map.clear();
+  EXPECT_TRUE(map.empty());
+  map.insert(7, 3);
+  ASSERT_NE(map.find(7), nullptr);
+  EXPECT_EQ(*map.find(7), 3u);
+}
+
 TEST(FlatMap, Clear) {
   FlatMap64 map;
   for (std::uint64_t k = 1; k <= 50; ++k) map.insert(k, 0);

@@ -160,4 +160,24 @@ TEST(ServiceModeDeterminism, FinalCountersEqualEveryHealthTotal) {
   EXPECT_GT(report.health.forged_rejected, 0u);
 }
 
+// --loss arms the shuffle timeout and its retry: lost exchanges are
+// timed out and retried rather than left pending until the next tick.
+TEST(ServiceMode, LossArmsShuffleTimeoutsAndRetries) {
+  telemetry::ServiceModeOptions opt;
+  opt.nodes = 300;
+  opt.alpha = 0.6;
+  opt.seed = 7;
+  opt.shards = 1;
+  opt.horizon = 5.0;
+  opt.loss = 0.05;
+  const auto lossy = telemetry::run_service_mode(opt);
+  EXPECT_GT(lossy.health.request_timeouts, 0u);
+  EXPECT_GT(lossy.health.request_retries, 0u);
+
+  opt.loss = 0.0;
+  const auto clean = telemetry::run_service_mode(opt);
+  EXPECT_EQ(clean.health.request_timeouts, 0u);
+  EXPECT_EQ(clean.health.request_retries, 0u);
+}
+
 }  // namespace

@@ -52,6 +52,7 @@
 #include <iostream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -250,16 +251,22 @@ double number_or_zero(const Json& doc, const char* key) {
 }
 
 /// Per-configuration rows of a multi-run report (scale_single_run's
-/// `runs`, one per shard count), keyed by shard count.
+/// `runs`, one per shard count), keyed by shard count. A `shards` that
+/// is not an integer >= 1 makes the report malformed (exit 2).
 std::map<std::uint64_t, const Json*> runs_by_shards(const Json& doc) {
   std::map<std::uint64_t, const Json*> out;
   if (!doc.contains("runs") || !doc.at("runs").is_array()) return out;
   const Json& runs = doc.at("runs");
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const Json& run = runs.at(i);
-    if (run.is_object() && run.contains("shards") &&
-        run.at("shards").is_number())
-      out.emplace(run.at("shards").as_uint(), &run);
+    if (!run.is_object() || !run.contains("shards")) continue;
+    const Json& shards = run.at("shards");
+    const double k = shards.is_number() ? shards.as_double() : 0.0;
+    if (!(k >= 1.0) || k != std::floor(k))
+      throw std::runtime_error("runs[" + std::to_string(i) +
+                               "].shards must be an integer >= 1, got " +
+                               shards.dump());
+    out.emplace(shards.as_uint(), &run);
   }
   return out;
 }
