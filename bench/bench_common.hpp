@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <initializer_list>
@@ -26,6 +27,7 @@
 #include <sys/resource.h>
 #endif
 
+#include "common/check.hpp"
 #include "common/cli.hpp"
 #include "common/logging.hpp"
 #include "experiments/figure_json.hpp"
@@ -42,17 +44,29 @@ namespace ppo::bench {
 inline experiments::WorkbenchOptions workbench_options(const Cli& cli) {
   experiments::WorkbenchOptions opts;
   opts.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
-  opts.social.num_nodes =
-      static_cast<std::size_t>(cli.get_int("base-nodes", 50'000));
+  opts.social.num_nodes = cli.get_size("base-nodes", 50'000, /*min=*/1);
   // Community structure must shrink with the base graph (the generator
   // requires num_nodes >= 2 x community size), so reduced-scale CI
   // runs can dial these down alongside --base-nodes.
-  opts.social.sub_community_size = static_cast<std::size_t>(cli.get_int(
-      "sub-community", static_cast<std::int64_t>(opts.social.sub_community_size)));
-  opts.social.community_size = static_cast<std::size_t>(cli.get_int(
-      "community", static_cast<std::int64_t>(opts.social.community_size)));
-  opts.trust_nodes = static_cast<std::size_t>(cli.get_int("nodes", 1000));
+  opts.social.sub_community_size = cli.get_size(
+      "sub-community", opts.social.sub_community_size, /*min=*/1);
+  opts.social.community_size =
+      cli.get_size("community", opts.social.community_size, /*min=*/1);
+  opts.trust_nodes = cli.get_size("nodes", 1000, /*min=*/2);
   return opts;
+}
+
+/// A measurement-window flag: a finite number, > 0 when `positive`
+/// (a sampling cadence), else >= 0 (a duration). Throws CheckError
+/// naming the flag otherwise.
+inline double window_flag(const Cli& cli, const std::string& name,
+                          double fallback, bool positive) {
+  const double value = cli.get_double(name, fallback);
+  PPO_CHECK_MSG(std::isfinite(value) && (positive ? value > 0.0 : value >= 0.0),
+                "flag --" + name + " expects a finite number " +
+                    (positive ? "> 0" : ">= 0") + ", got '" +
+                    cli.get_string(name, "") + "'");
+  return value;
 }
 
 /// Parses a comma-separated list of doubles, e.g. --alphas=0.25,0.5,1.
@@ -80,19 +94,25 @@ inline std::vector<double> parse_double_list(const std::string& text) {
 
 inline experiments::FigureScale figure_scale(const Cli& cli) {
   experiments::FigureScale scale;
-  scale.window.warmup = cli.get_double("warmup", 300.0);
-  scale.window.measure = cli.get_double("measure", 50.0);
-  scale.window.sample_every = cli.get_double("sample-every", 10.0);
-  scale.window.apl_sources =
-      static_cast<std::size_t>(cli.get_int("apl-sources", 48));
+  scale.window.warmup = window_flag(cli, "warmup", 300.0, false);
+  scale.window.measure = window_flag(cli, "measure", 50.0, false);
+  scale.window.sample_every = window_flag(cli, "sample-every", 10.0, true);
+  scale.window.apl_sources = cli.get_size("apl-sources", 48, /*min=*/1);
   scale.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
   scale.jobs = cli.get_size("jobs", 0);
   scale.progress = cli.get_bool("progress", false);
   scale.shards = cli.get_size("shards", 1, /*min=*/1);
-  scale.replicas = static_cast<std::size_t>(cli.get_int("replicas", 1));
+  scale.replicas = cli.get_size("replicas", 1, /*min=*/1);
   scale.warm_start_dir = cli.get_string("warm-start-dir", "");
   if (cli.has("alphas")) {
     const auto alphas = parse_double_list(cli.get_string("alphas", ""));
+    for (const double alpha : alphas) {
+      std::ostringstream shown;
+      shown << alpha;
+      PPO_CHECK_MSG(std::isfinite(alpha) && alpha > 0.0 && alpha <= 1.0,
+                    "flag --alphas expects values in (0, 1], got " +
+                        shown.str());
+    }
     if (!alphas.empty()) scale.alphas = alphas;
   }
   return scale;

@@ -1,9 +1,12 @@
 #include "experiments/figures.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <exception>
 #include <functional>
+#include <future>
 #include <string>
 #include <utility>
 
@@ -37,34 +40,75 @@ runner::SweepOptions sweep_options(const FigureScale& scale,
   return opt;
 }
 
-/// What one alpha cell contributes to each output series, in series
-/// order. Static baselines leave `health` zero.
+/// What one run contributes to its series in one alpha cell. Static
+/// baselines leave `health` zero.
 struct CellValue {
   double conn = 0.0;
   double napl = 0.0;
   metrics::ProtocolHealth health;
 };
-using CellValues = std::vector<CellValue>;
+
+CellValue static_value(const StaticRunResult& run) {
+  return {run.stats.frac_disconnected.mean(), run.stats.norm_apl.mean(), {}};
+}
+
+CellValue overlay_value(const OverlayRunResult& run) {
+  return {run.stats.frac_disconnected.mean(), run.stats.norm_apl.mean(),
+          run.health};
+}
 
 /// Common shape of the Figure 3/4 and Figure 7 sweeps: one shared
 /// Erdős–Rényi reference sized from a converged f = 0.5 overlay run,
-/// then one independent simulation cell per alpha. Cells only read
-/// `er` and the (pre-built, cached) trust graphs, so they are safe to
-/// run on the pool; their seeds depend only on (scale.seed, index).
+/// and one independent simulation per (alpha cell, series). `run`
+/// computes series `series` of cell `index` at `alpha`. The last series
+/// is the ER baseline and the only one that reads `er`; the others get
+/// an empty graph. Runs read only `er` and the (pre-built, cached)
+/// trust graphs, so they are safe to run on the pool; their seeds
+/// depend only on (scale.seed, cell index).
 struct AlphaSweepSpec {
   const char* label;
   std::vector<const char*> series;  // output series names, in order
   std::uint64_t sizing_salt = 0;    // seed salt of the ER sizing run
   std::uint64_t er_seed_salt = 0;   // salt of the ER construction seed
-  std::function<CellValues(const graph::Graph& er, double alpha,
-                           std::size_t index)>
-      cell;
+  std::function<CellValue(std::size_t series, double alpha, std::size_t index,
+                          const graph::Graph& er)>
+      run;
 };
 
 SweepFigure run_alpha_sweep(Workbench& bench, const FigureScale& scale,
                             const AlphaSweepSpec& spec) {
+  PPO_CHECK_MSG(!scale.alphas.empty(), "an alpha sweep needs an alpha");
   SweepFigure fig;
   fig.alphas = scale.alphas;
+
+  // Alpha-major cell layout: cell index a*R + r. With R = 1 the index
+  // equals the historical per-alpha index, so every seed salt — and
+  // therefore every trajectory — is unchanged.
+  const std::size_t replicas = std::max<std::size_t>(1, scale.replicas);
+  fig.replicas = replicas;
+  const std::size_t cells = scale.alphas.size() * replicas;
+  const std::size_t width = spec.series.size();
+  const std::size_t er_series = width - 1;
+  const auto alpha_of = [&](std::size_t cell) {
+    return scale.alphas[cell / replicas];
+  };
+
+  // One pool task per run. Task 0 sizes the ER reference; then every
+  // cell's other runs, highest alpha first (a run's work grows with
+  // its online population; the stable sort keeps index order within
+  // one alpha); the ER baselines come last.
+  struct Run {
+    std::size_t cell;
+    std::size_t series;
+  };
+  std::vector<Run> runs;
+  runs.reserve(cells * width);
+  for (std::size_t c = 0; c < cells; ++c)
+    for (std::size_t j = 0; j < er_series; ++j) runs.push_back({c, j});
+  std::stable_sort(runs.begin(), runs.end(), [&](const Run& a, const Run& b) {
+    return alpha_of(a.cell) > alpha_of(b.cell);
+  });
+  for (std::size_t c = 0; c < cells; ++c) runs.push_back({c, er_series});
 
   // ONE Erdős–Rényi reference graph, sized once from the converged
   // overlay (highest availability in the sweep) — the paper compares
@@ -73,38 +117,67 @@ SweepFigure run_alpha_sweep(Workbench& bench, const FigureScale& scale,
   const graph::Graph& sizing_trust = bench.trust_graph(0.5);
   const double alpha_max =
       *std::max_element(scale.alphas.begin(), scale.alphas.end());
-  OverlayScenario sizing = base_scenario(scale, alpha_max, spec.sizing_salt);
-  const auto sizing_run = run_overlay(sizing_trust, sizing);
-  const graph::Graph er = er_reference(
-      sizing_trust.num_nodes(),
-      static_cast<std::size_t>(
-          std::llround(sizing_run.stats.total_edges.mean())),
-      scale.seed ^ spec.er_seed_salt);
+  std::promise<graph::Graph> er_promise;
+  const std::shared_future<graph::Graph> er_future =
+      er_promise.get_future().share();
+  const graph::Graph no_er;
 
-  // Alpha-major cell layout: cell index a*R + r. With R = 1 the index
-  // equals the historical per-alpha index, so every seed salt — and
-  // therefore every trajectory — is unchanged.
-  const std::size_t replicas = std::max<std::size_t>(1, scale.replicas);
-  fig.replicas = replicas;
-  auto grid = runner::run_grid(
-      scale.alphas.size() * replicas, sweep_options(scale, spec.label),
-      [&](const runner::CellInfo& cell) {
-        const double alpha = scale.alphas[cell.index / replicas];
-        return spec.cell(er, alpha, cell.index);
+  std::vector<CellValue> values(cells * width);
+  std::vector<double> run_seconds(cells * width, 0.0);
+  // The ER runs block on task 0 and cannot deadlock: ThreadPool hands
+  // out tasks in FIFO order and task 0 never waits, so whenever a
+  // worker reaches an ER run, task 0 is already running or done.
+  const runner::SweepTelemetry pass = runner::run_indexed(
+      1 + runs.size(), sweep_options(scale, spec.label),
+      [&](const runner::CellInfo& task) {
+        if (task.index == 0) {
+          try {
+            const auto sizing = run_overlay(
+                sizing_trust,
+                base_scenario(scale, alpha_max, spec.sizing_salt));
+            er_promise.set_value(er_reference(
+                sizing_trust.num_nodes(),
+                static_cast<std::size_t>(
+                    std::llround(sizing.stats.total_edges.mean())),
+                scale.seed ^ spec.er_seed_salt));
+          } catch (...) {
+            er_promise.set_exception(std::current_exception());
+            throw;
+          }
+          return;
+        }
+        const Run run = runs[task.index - 1];
+        const graph::Graph& er =
+            run.series == er_series ? er_future.get() : no_er;
+        const auto start = std::chrono::steady_clock::now();
+        const std::size_t slot = run.cell * width + run.series;
+        values[slot] = spec.run(run.series, alpha_of(run.cell), run.cell, er);
+        run_seconds[slot] = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
       });
 
-  fig.health.resize(spec.series.size());
-  for (std::size_t j = 0; j < spec.series.size(); ++j) {
+  // Fold runs back into cells. The sizing run belongs to no cell; the
+  // sweep's wall time covers it.
+  fig.telemetry.cells = cells;
+  fig.telemetry.jobs = pass.jobs;
+  fig.telemetry.wall_seconds = pass.wall_seconds;
+  fig.telemetry.cell_seconds.assign(cells, 0.0);
+  for (std::size_t c = 0; c < cells; ++c)
+    for (std::size_t j = 0; j < width; ++j)
+      fig.telemetry.cell_seconds[c] += run_seconds[c * width + j];
+
+  fig.health.resize(width);
+  for (std::size_t j = 0; j < width; ++j) {
     Series conn{spec.series[j], {}}, napl{spec.series[j], {}};
     Series conn_ci{spec.series[j], {}}, napl_ci{spec.series[j], {}};
     for (std::size_t a = 0; a < scale.alphas.size(); ++a) {
       RunningStats sc, sn;
       for (std::size_t r = 0; r < replicas; ++r) {
-        const CellValues& values = grid.cells[a * replicas + r];
-        PPO_CHECK(values.size() == spec.series.size());
-        sc.add(values[j].conn);
-        sn.add(values[j].napl);
-        fig.health[j].merge(values[j].health);
+        const CellValue& value = values[(a * replicas + r) * width + j];
+        sc.add(value.conn);
+        sn.add(value.napl);
+        fig.health[j].merge(value.health);
       }
       conn.values.push_back(sc.mean());
       napl.values.push_back(sn.mean());
@@ -116,7 +189,6 @@ SweepFigure run_alpha_sweep(Workbench& bench, const FigureScale& scale,
     fig.connectivity_ci.push_back(std::move(conn_ci));
     fig.napl_ci.push_back(std::move(napl_ci));
   }
-  fig.telemetry = std::move(grid.telemetry);
   return fig;
 }
 
@@ -132,71 +204,55 @@ SweepFigure availability_sweep(Workbench& bench, const FigureScale& scale) {
                  "random"};
   spec.sizing_salt = 99;
   spec.er_seed_salt = 0xE6;
-  spec.cell = [&scale, &t10, &t05](const graph::Graph& er, double alpha,
-                                   std::size_t i) {
+  spec.run = [&scale, &t10, &t05](std::size_t series, double alpha,
+                                  std::size_t i, const graph::Graph& er) {
     OverlayScenario scenario = base_scenario(scale, alpha, 101 + i);
-
-    const auto s_t10 =
-        run_static(t10, scenario.churn, scale.window, scenario.seed ^ 1);
-    const auto s_t05 =
-        run_static(t05, scenario.churn, scale.window, scenario.seed ^ 2);
-    const auto o_t10 = run_overlay(t10, scenario);
-    scenario.seed ^= 0x51;
-    const auto o_t05 = run_overlay(t05, scenario);
-
-    const auto s_er =
-        run_static(er, scenario.churn, scale.window, scenario.seed ^ 3);
-
-    return CellValues{
-        {s_t10.stats.frac_disconnected.mean(), s_t10.stats.norm_apl.mean(), {}},
-        {s_t05.stats.frac_disconnected.mean(), s_t05.stats.norm_apl.mean(), {}},
-        {o_t10.stats.frac_disconnected.mean(), o_t10.stats.norm_apl.mean(),
-         o_t10.health},
-        {o_t05.stats.frac_disconnected.mean(), o_t05.stats.norm_apl.mean(),
-         o_t05.health},
-        {s_er.stats.frac_disconnected.mean(), s_er.stats.norm_apl.mean(), {}},
-    };
+    const ChurnSpec& churn = scenario.churn;
+    switch (series) {
+      case 0:
+        return static_value(
+            run_static(t10, churn, scale.window, scenario.seed ^ 1));
+      case 1:
+        return static_value(
+            run_static(t05, churn, scale.window, scenario.seed ^ 2));
+      case 2:
+        return overlay_value(run_overlay(t10, scenario));
+      case 3:
+        scenario.seed ^= 0x51;
+        return overlay_value(run_overlay(t05, scenario));
+      default:  // the ER seed keeps the f = 0.5 overlay's 0x51 salt
+        return static_value(
+            run_static(er, churn, scale.window, scenario.seed ^ 0x51 ^ 3));
+    }
   };
   return run_alpha_sweep(bench, scale, spec);
 }
 
 SweepFigure lifetime_sweep(Workbench& bench, const FigureScale& scale) {
   const graph::Graph& trust = bench.trust_graph(0.5);
-  static constexpr std::pair<const char*, double> kRatios[] = {
-      {"r1", 1.0}, {"r3", 3.0}, {"r9", 9.0}, {"r-infinite", -1.0}};
+  static constexpr double kRatios[] = {1.0, 3.0, 9.0, -1.0};
 
   AlphaSweepSpec spec;
   spec.label = "lifetime-sweep";
   spec.series = {"trust-graph", "r1", "r3", "r9", "r-infinite", "random"};
   spec.sizing_salt = 199;
   spec.er_seed_salt = 0xE7;
-  spec.cell = [&scale, &trust](const graph::Graph& er, double alpha,
-                               std::size_t i) {
+  spec.run = [&scale, &trust](std::size_t series, double alpha,
+                              std::size_t i, const graph::Graph& er) {
     OverlayScenario scenario = base_scenario(scale, alpha, 211 + i);
-    CellValues values;
-
-    const auto s_trust =
-        run_static(trust, scenario.churn, scale.window, scenario.seed ^ 1);
-    values.push_back(CellValue{s_trust.stats.frac_disconnected.mean(),
-                               s_trust.stats.norm_apl.mean(), {}});
-
-    for (std::size_t k = 0; k < std::size(kRatios); ++k) {
-      OverlayScenario variant = scenario;
-      variant.seed ^= (k + 2) * 0x91;
-      variant.params.pseudonym_lifetime =
-          kRatios[k].second < 0
-              ? kInfiniteLifetime
-              : kRatios[k].second * variant.churn.mean_offline;
-      const auto run = run_overlay(trust, variant);
-      values.push_back(CellValue{run.stats.frac_disconnected.mean(),
-                                 run.stats.norm_apl.mean(), run.health});
-    }
-
-    const auto s_er =
-        run_static(er, scenario.churn, scale.window, scenario.seed ^ 8);
-    values.push_back(CellValue{s_er.stats.frac_disconnected.mean(),
-                               s_er.stats.norm_apl.mean(), {}});
-    return values;
+    const ChurnSpec& churn = scenario.churn;
+    if (series == 0)
+      return static_value(
+          run_static(trust, churn, scale.window, scenario.seed ^ 1));
+    if (series == 1 + std::size(kRatios))
+      return static_value(
+          run_static(er, churn, scale.window, scenario.seed ^ 8));
+    const std::size_t k = series - 1;
+    scenario.seed ^= (k + 2) * 0x91;
+    scenario.params.pseudonym_lifetime =
+        kRatios[k] < 0 ? kInfiniteLifetime
+                       : kRatios[k] * scenario.churn.mean_offline;
+    return overlay_value(run_overlay(trust, scenario));
   };
   return run_alpha_sweep(bench, scale, spec);
 }

@@ -2,10 +2,12 @@
 // Benches print the returned data; tests run them at reduced scale
 // and assert the paper's qualitative shapes.
 //
-// Every sweep fans its independent cells (one per alpha / f / lifetime
-// ratio) out on the ppo_runner pool. Cell seeds depend only on
-// (FigureScale::seed, cell index), so results are bit-identical for
-// any `jobs` value — see runner/sweep.hpp for the contract.
+// Every sweep fans its independent work out on the ppo_runner pool:
+// the alpha sweeps (Figures 3, 4, 7) one task per simulation run,
+// heaviest first, the other sweeps one task per cell (alpha / f /
+// lifetime ratio). Seeds depend only on (FigureScale::seed, cell
+// index), so results are bit-identical for any `jobs` value — see
+// runner/sweep.hpp for the contract.
 #pragma once
 
 #include <vector>
@@ -24,9 +26,10 @@ struct FigureScale {
   std::vector<double> alphas = {0.125, 0.25, 0.375, 0.5,
                                 0.625, 0.75, 0.875, 1.0};
   std::uint64_t seed = 1;
-  /// Worker threads for the sweep cells; 0 = hardware concurrency.
+  /// Worker threads for the sweeps; 0 = hardware concurrency.
   std::size_t jobs = 0;
-  /// Report per-cell completion/ETA lines to stderr.
+  /// Report per-task completion/ETA lines to stderr (a task is one
+  /// run in the alpha sweeps, one cell elsewhere).
   bool progress = false;
   /// Shard count K >= 1 for every overlay run inside a cell (see
   /// OverlayScenario::shards; figures are bit-identical for every K).
@@ -59,7 +62,10 @@ struct SweepFigure {
   /// zero). Counter magnitudes scale with `replicas`.
   std::vector<metrics::ProtocolHealth> health;
   std::size_t replicas = 1;          // repetitions behind each point
-  runner::SweepTelemetry telemetry;  // wall-clock accounting per cell
+  /// Wall-clock accounting: `cells` = alphas x replicas, each cell's
+  /// seconds the sum of its runs' (the ER sizing run is charged to no
+  /// cell), `wall_seconds` the whole sweep, sizing run included.
+  runner::SweepTelemetry telemetry;
 };
 
 /// Figures 3 + 4: trust graphs (f = 1.0, 0.5), the overlay on both,

@@ -37,6 +37,17 @@ std::unique_ptr<churn::ChurnModel> ChurnSpec::make() const {
 
 namespace {
 
+/// The measurement loops step by `sample_every` until the window ends,
+/// so a cadence <= 0 or NaN would never end them.
+void check_window(const MeasureWindow& window) {
+  PPO_CHECK_MSG(std::isfinite(window.sample_every) && window.sample_every > 0.0,
+                "sample_every must be finite and > 0");
+  PPO_CHECK_MSG(std::isfinite(window.warmup) && window.warmup >= 0.0,
+                "warmup must be finite and >= 0");
+  PPO_CHECK_MSG(std::isfinite(window.measure) && window.measure >= 0.0,
+                "measure must be finite and >= 0");
+}
+
 void accumulate(SnapshotStats& stats, const metrics::GraphMetrics& m,
                 std::size_t total_nodes, std::size_t total_edges) {
   stats.frac_disconnected.add(m.fraction_disconnected);
@@ -412,6 +423,7 @@ void reset_warm_start_stats() {
 
 OverlayRunResult run_overlay(const graph::Graph& trust,
                              const OverlayScenario& scenario) {
+  check_window(scenario.window);
   const auto model = scenario.churn.make();
   const overlay::OverlayServiceOptions options = service_options(scenario);
   const std::size_t n = trust.num_nodes();
@@ -454,6 +466,7 @@ bool runs_identical(const OverlayRunResult& a, const OverlayRunResult& b) {
 
 StaticRunResult run_static(const graph::Graph& g, const ChurnSpec& churn_spec,
                            const MeasureWindow& window, std::uint64_t seed) {
+  check_window(window);
   sim::Simulator sim;
   const auto model = churn_spec.make();
   churn::ChurnDriver driver(sim, g.num_nodes(), *model, Rng(seed));

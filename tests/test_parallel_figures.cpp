@@ -4,6 +4,13 @@
 // artefacts on the ppo_runner pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <iterator>
+#include <string>
+
+#include "common/check.hpp"
+#include "common/stats.hpp"
 #include "experiments/figure_json.hpp"
 #include "experiments/figures.hpp"
 
@@ -102,6 +109,187 @@ TEST(ParallelFigures, SweepJsonCarriesSeriesScaleAndTelemetry) {
   EXPECT_EQ(scale_json.at("seed").as_uint(), 3u);
   EXPECT_EQ(scale_json.at("jobs").as_uint(), 2u);
   EXPECT_DOUBLE_EQ(scale_json.at("warmup").as_double(), 40.0);
+}
+
+// --- the run-level schedule moves no seed ------------------------------
+//
+// The alpha sweeps run one pool task per simulation run, heaviest first,
+// with the ER sizing run overlapping the cells. A seed that moved the
+// same way at every `jobs` would pass the jobs-invariance tests above,
+// so these tests compare against the sweep composed serially, run by
+// run, with the seed salts written out.
+
+// Each test makes four passes over its sweep (the reference and three
+// `jobs` values), so the graphs are small and the window short.
+WorkbenchOptions reference_bench() {
+  WorkbenchOptions opts = tiny_bench();
+  opts.trust_nodes = 60;
+  return opts;
+}
+
+/// Repeated, unsorted alphas and two replicas per alpha.
+FigureScale reference_scale(std::size_t jobs) {
+  FigureScale scale = tiny_scale(jobs);
+  scale.window.warmup = 10.0;
+  scale.window.measure = 10.0;
+  scale.alphas = {0.75, 0.25, 0.75};
+  scale.replicas = 2;
+  return scale;
+}
+
+OverlayScenario salted_scenario(const FigureScale& scale, double alpha,
+                                std::uint64_t salt) {
+  OverlayScenario scenario;
+  scenario.churn.alpha = alpha;
+  scenario.window = scale.window;
+  scenario.seed = scale.seed ^ salt;
+  scenario.params.pseudonym_lifetime = 3.0 * scenario.churn.mean_offline;
+  return scenario;
+}
+
+struct RunValue {
+  double conn = 0.0;
+  double napl = 0.0;
+  metrics::ProtocolHealth health;
+};
+
+RunValue value_of(const StaticRunResult& run) {
+  return {run.stats.frac_disconnected.mean(), run.stats.norm_apl.mean(), {}};
+}
+
+RunValue value_of(const OverlayRunResult& run) {
+  return {run.stats.frac_disconnected.mean(), run.stats.norm_apl.mean(),
+          run.health};
+}
+
+/// The ER reference: G(n, M) with M the mean snapshot edge count of
+/// an f = 0.5 overlay run at the sweep's highest alpha.
+graph::Graph sized_er(const graph::Graph& t05, const FigureScale& scale,
+                      std::uint64_t sizing_salt, std::uint64_t er_salt) {
+  const double alpha_max =
+      *std::max_element(scale.alphas.begin(), scale.alphas.end());
+  const auto sizing =
+      run_overlay(t05, salted_scenario(scale, alpha_max, sizing_salt));
+  return er_reference(t05.num_nodes(),
+                      static_cast<std::size_t>(
+                          std::llround(sizing.stats.total_edges.mean())),
+                      scale.seed ^ er_salt);
+}
+
+/// Every value, CI half-width and health rollup of `fig` equals the
+/// fold of `runs[cell][series]` over replicas; the telemetry counts
+/// alphas x replicas cells whose run times fit in jobs x wall.
+void expect_matches(const SweepFigure& fig,
+                    const std::vector<std::vector<RunValue>>& runs,
+                    const FigureScale& scale) {
+  const std::size_t replicas = scale.replicas;
+  ASSERT_EQ(fig.alphas, scale.alphas);
+  ASSERT_EQ(fig.replicas, replicas);
+  ASSERT_EQ(fig.connectivity.size(), runs.front().size());
+  for (std::size_t j = 0; j < runs.front().size(); ++j) {
+    metrics::ProtocolHealth health;
+    for (std::size_t a = 0; a < scale.alphas.size(); ++a) {
+      RunningStats conn, napl;
+      for (std::size_t r = 0; r < replicas; ++r) {
+        const RunValue& run = runs[a * replicas + r][j];
+        conn.add(run.conn);
+        napl.add(run.napl);
+        health.merge(run.health);
+      }
+      const std::string where = fig.connectivity[j].name + " at alpha index " +
+                                std::to_string(a);
+      EXPECT_EQ(fig.connectivity[j].values[a], conn.mean()) << where;
+      EXPECT_EQ(fig.connectivity_ci[j].values[a], ci95_half_width(conn))
+          << where;
+      EXPECT_EQ(fig.napl[j].values[a], napl.mean()) << where;
+      EXPECT_EQ(fig.napl_ci[j].values[a], ci95_half_width(napl)) << where;
+    }
+    EXPECT_TRUE(fig.health[j] == health) << fig.connectivity[j].name;
+  }
+
+  const runner::SweepTelemetry& t = fig.telemetry;
+  EXPECT_EQ(t.jobs, scale.jobs);
+  EXPECT_EQ(t.cells, scale.alphas.size() * replicas);
+  ASSERT_EQ(t.cell_seconds.size(), t.cells);
+  double sum = 0.0;
+  for (const double seconds : t.cell_seconds) {
+    EXPECT_GT(seconds, 0.0);
+    sum += seconds;
+  }
+  EXPECT_LE(sum, static_cast<double>(t.jobs) * t.wall_seconds);
+}
+
+TEST(ParallelFigures, AvailabilitySweepMatchesSerialReference) {
+  Workbench bench(reference_bench());
+  const graph::Graph& t10 = bench.trust_graph(1.0);
+  const graph::Graph& t05 = bench.trust_graph(0.5);
+  const FigureScale scale = reference_scale(1);
+  const graph::Graph er = sized_er(t05, scale, 99, 0xE6);
+
+  std::vector<std::vector<RunValue>> runs;
+  for (std::size_t i = 0; i < scale.alphas.size() * scale.replicas; ++i) {
+    OverlayScenario s =
+        salted_scenario(scale, scale.alphas[i / scale.replicas], 101 + i);
+    std::vector<RunValue> cell;
+    cell.push_back(value_of(run_static(t10, s.churn, s.window, s.seed ^ 1)));
+    cell.push_back(value_of(run_static(t05, s.churn, s.window, s.seed ^ 2)));
+    cell.push_back(value_of(run_overlay(t10, s)));
+    s.seed ^= 0x51;
+    cell.push_back(value_of(run_overlay(t05, s)));
+    cell.push_back(value_of(run_static(er, s.churn, s.window, s.seed ^ 3)));
+    runs.push_back(std::move(cell));
+  }
+
+  for (const std::size_t jobs : {1u, 2u, 8u}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    const FigureScale at_jobs = reference_scale(jobs);
+    expect_matches(availability_sweep(bench, at_jobs), runs, at_jobs);
+  }
+}
+
+TEST(ParallelFigures, LifetimeSweepMatchesSerialReference) {
+  Workbench bench(reference_bench());
+  const graph::Graph& trust = bench.trust_graph(0.5);
+  const FigureScale scale = reference_scale(1);
+  const graph::Graph er = sized_er(trust, scale, 199, 0xE7);
+  const double lifetimes[] = {1.0, 3.0, 9.0, kInfiniteLifetime};
+
+  std::vector<std::vector<RunValue>> runs;
+  for (std::size_t i = 0; i < scale.alphas.size() * scale.replicas; ++i) {
+    const OverlayScenario s =
+        salted_scenario(scale, scale.alphas[i / scale.replicas], 211 + i);
+    std::vector<RunValue> cell;
+    cell.push_back(value_of(run_static(trust, s.churn, s.window, s.seed ^ 1)));
+    for (std::size_t k = 0; k < std::size(lifetimes); ++k) {
+      OverlayScenario variant = s;
+      variant.seed ^= (k + 2) * 0x91;
+      variant.params.pseudonym_lifetime =
+          k + 1 < std::size(lifetimes) ? lifetimes[k] * s.churn.mean_offline
+                                       : lifetimes[k];
+      cell.push_back(value_of(run_overlay(trust, variant)));
+    }
+    cell.push_back(value_of(run_static(er, s.churn, s.window, s.seed ^ 8)));
+    runs.push_back(std::move(cell));
+  }
+
+  for (const std::size_t jobs : {1u, 2u, 8u}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    const FigureScale at_jobs = reference_scale(jobs);
+    expect_matches(lifetime_sweep(bench, at_jobs), runs, at_jobs);
+  }
+}
+
+// The ER baselines wait on the sizing run. When it fails, they fail
+// with it instead of blocking the pool; an empty alpha list is refused.
+TEST(ParallelFigures, FailedSizingRunFailsTheSweep) {
+  Workbench bench(tiny_bench());
+  FigureScale scale = tiny_scale(2);
+  scale.window.sample_every = 0.0;  // every run refuses this window
+  EXPECT_THROW(availability_sweep(bench, scale), CheckError);
+  EXPECT_THROW(lifetime_sweep(bench, scale), CheckError);
+  scale = tiny_scale(2);
+  scale.alphas.clear();
+  EXPECT_THROW(availability_sweep(bench, scale), CheckError);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <future>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -62,6 +63,27 @@ TEST(ThreadPool, DrainRethrowsTaskException) {
   pool.submit([&ran] { ran = true; });
   pool.drain();
   EXPECT_TRUE(ran.load());
+}
+
+// The alpha sweeps' ER baselines wait on a graph the sweep's first
+// task builds. That cannot deadlock because the pool hands out tasks in
+// FIFO order and the first task never waits: whichever worker reaches
+// a waiting task, the first task is already running or done.
+TEST(ThreadPool, TaskWaitingOnAnEarlierTaskFinishes) {
+  for (const std::size_t workers : {1u, 2u, 8u}) {
+    std::promise<int> promise;
+    const std::shared_future<int> ready = promise.get_future().share();
+    std::atomic<int> sum{0};
+    ThreadPool pool(workers);
+    pool.submit([&promise] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      promise.set_value(1);
+    });
+    for (std::size_t i = 0; i < 3 * workers; ++i)
+      pool.submit([&ready, &sum] { sum.fetch_add(ready.get()); });
+    pool.drain();
+    EXPECT_EQ(sum.load(), static_cast<int>(3 * workers)) << workers;
+  }
 }
 
 TEST(ThreadPool, AutoSizingUsesAtLeastOneWorker) {
