@@ -13,7 +13,7 @@
 #include "overlay/cache.hpp"
 #include "overlay/sampler.hpp"
 #include "privacylink/onion.hpp"
-#include "sim/simulator.hpp"
+#include "sim/event_queue.hpp"
 
 namespace {
 
@@ -103,13 +103,16 @@ void BM_CacheMergeBatch(benchmark::State& state) {
 BENCHMARK(BM_CacheMergeBatch);
 
 void BM_EventQueueChurn(benchmark::State& state) {
-  sim::Simulator sim;
+  sim::EventQueue queue;
   Rng rng(8);
+  std::uint64_t seq = 0;
   for (int i = 0; i < 1000; ++i)
-    sim.schedule_at(rng.uniform_double(0.0, 1e7), [] {});
+    queue.push({rng.uniform_double(0.0, 1e7), 0, seq++, 0, [] {}});
+  sim::Time now = 0.0;
   for (auto _ : state) {
-    sim.schedule_at(sim.now() + rng.uniform_double(0.0, 10.0), [] {});
-    sim.step();
+    queue.push({now + rng.uniform_double(0.0, 10.0), 0, seq++, 0, [] {}});
+    now = queue.pop().time;
+    benchmark::DoNotOptimize(now);
   }
 }
 BENCHMARK(BM_EventQueueChurn);

@@ -10,7 +10,7 @@
 #include "common/cli.hpp"
 #include "crypto/bytes.hpp"
 #include "privacylink/mix_network.hpp"
-#include "sim/simulator.hpp"
+#include "sim/sharded_simulator.hpp"
 
 int main(int argc, char** argv) {
   using namespace ppo;
@@ -18,7 +18,10 @@ int main(int argc, char** argv) {
   const auto hops = static_cast<std::size_t>(cli.get_int("hops", 3));
   const auto relays = static_cast<std::size_t>(cli.get_int("relays", 8));
 
-  sim::Simulator sim;
+  // One shard and two actors: the sender and the receiver.
+  constexpr sim::ActorId kSender = 0;
+  constexpr sim::ActorId kReceiver = 1;
+  sim::ShardedSimulator sim({.num_actors = 2});
   privacylink::MixNetwork mix(sim, {.num_relays = relays}, Rng(3));
   Rng rng(5);
 
@@ -48,7 +51,7 @@ int main(int argc, char** argv) {
   mix.send(route, payload, [&](crypto::Bytes delivered) {
     std::cout << "delivered at t=" << sim.now() << ": \""
               << std::string(delivered.begin(), delivered.end()) << "\"\n";
-  }, rng);
+  }, rng, kSender, kReceiver);
   sim.run_all();
 
   // An external observer tampering with a layer gets the message
@@ -57,7 +60,8 @@ int main(int argc, char** argv) {
       specs, crypto::BytesView(payload.data(), payload.size()), rng);
   tampered[60] ^= 0x01;
   bool leaked = false;
-  mix.inject(route[0], tampered, [&](crypto::Bytes) { leaked = true; });
+  mix.inject(route[0], tampered, [&](crypto::Bytes) { leaked = true; },
+             kReceiver);
   sim.run_all();
   std::cout << "tampered copy: " << (leaked ? "DELIVERED (bug!)" : "dropped")
             << "\n";
@@ -67,8 +71,10 @@ int main(int argc, char** argv) {
   const crypto::Bytes captured = privacylink::onion_wrap(
       specs, crypto::BytesView(payload.data(), payload.size()), rng);
   int deliveries = 0;
-  mix.inject(route[0], captured, [&](crypto::Bytes) { ++deliveries; });
-  mix.inject(route[0], captured, [&](crypto::Bytes) { ++deliveries; });
+  mix.inject(route[0], captured, [&](crypto::Bytes) { ++deliveries; },
+             kReceiver);
+  mix.inject(route[0], captured, [&](crypto::Bytes) { ++deliveries; },
+             kReceiver);
   sim.run_all();
   std::cout << "replayed copy: delivered " << deliveries
             << "x (second copy blocked), replays blocked so far: "

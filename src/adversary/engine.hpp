@@ -23,7 +23,7 @@
 #include "ckpt/io.hpp"
 #include "common/rng.hpp"
 #include "privacylink/pseudonym.hpp"
-#include "sim/backend.hpp"
+#include "sim/types.hpp"
 
 namespace ppo::adversary {
 

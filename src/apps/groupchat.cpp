@@ -14,7 +14,8 @@ GroupChat::GroupChat(sim::ShardedSimulator& sim,
       options_(options),
       rng_(rng),
       transport_(sim, options.transport, rng_.split(),
-                 [this](NodeId v) { return overlay_.is_online(v); }),
+                 [this](NodeId v) { return overlay_.is_online(v); },
+                 overlay.num_nodes()),
       members_(overlay.num_nodes()),
       next_seq_(overlay.num_nodes(), 0) {
   PPO_CHECK_MSG(sim.num_shards() == 1,

@@ -1,34 +1,28 @@
 #include "churn/churn_driver.hpp"
 
 #include "obs/trace.hpp"
-#include "sim/restore.hpp"
 
 namespace ppo::churn {
 
-ChurnDriver::ChurnDriver(sim::SimulatorBackend& sim, std::size_t num_nodes,
-                         const ChurnModel& model, Rng rng,
-                         bool per_node_streams)
+ChurnDriver::ChurnDriver(sim::ShardedSimulator& sim, std::size_t num_nodes,
+                         const ChurnModel& model, Rng rng)
     : ChurnDriver(sim, std::vector<const ChurnModel*>(num_nodes, &model),
-                  rng, per_node_streams) {}
+                  rng) {}
 
-ChurnDriver::ChurnDriver(sim::SimulatorBackend& sim,
-                         std::vector<const ChurnModel*> models, Rng rng,
-                         bool per_node_streams)
+ChurnDriver::ChurnDriver(sim::ShardedSimulator& sim,
+                         std::vector<const ChurnModel*> models, Rng rng)
     : sim_(sim),
       num_nodes_(models.size()),
       models_(std::move(models)),
-      rng_(rng),
       online_(num_nodes_, false),
       failed_(num_nodes_, 0),
       epoch_(num_nodes_, 0),
       pending_(num_nodes_) {
   for (const ChurnModel* model : models_)
     PPO_CHECK_MSG(model != nullptr, "null churn model");
-  if (per_node_streams) {
-    node_rngs_.reserve(num_nodes_);
-    for (std::size_t v = 0; v < num_nodes_; ++v)
-      node_rngs_.push_back(rng_.split());
-  }
+  node_rngs_.reserve(num_nodes_);
+  for (std::size_t v = 0; v < num_nodes_; ++v)
+    node_rngs_.push_back(rng.split());
 }
 
 void ChurnDriver::start(ChurnCallbacks callbacks, bool fire_initial) {
@@ -36,12 +30,25 @@ void ChurnDriver::start(ChurnCallbacks callbacks, bool fire_initial) {
   started_ = true;
   callbacks_ = std::move(callbacks);
   for (NodeId v = 0; v < num_nodes_; ++v) {
-    const bool starts_online = rng_for(v).bernoulli(models_[v]->availability());
+    const bool starts_online =
+        node_rngs_[v].bernoulli(models_[v]->availability());
     online_.set(v, starts_online);
     if (starts_online && fire_initial && callbacks_.on_online)
       callbacks_.on_online(v);
     schedule_transition(v);
   }
+}
+
+sim::EventFn ChurnDriver::transition_event(NodeId v, std::uint64_t epoch,
+                                           bool was_online) {
+  return [this, v, epoch, was_online] {
+    if (epoch_[v] != epoch || failed_[v]) return;
+    if (was_online)
+      go_offline(v);
+    else
+      go_online(v);
+    schedule_transition(v);
+  };
 }
 
 void ChurnDriver::schedule_transition(NodeId v) {
@@ -50,19 +57,12 @@ void ChurnDriver::schedule_transition(NodeId v) {
   // Exponential durations are memoryless, so drawing a fresh duration
   // for the initial residual state is exact; for other models it is a
   // standard approximation that converges after the first transition.
-  Rng& rng = rng_for(v);
+  Rng& rng = node_rngs_[v];
   const double dwell = currently_online
                            ? models_[v]->next_online_duration(rng)
                            : models_[v]->next_offline_duration(rng);
   const std::uint64_t my_epoch = epoch_[v];
-  sim_.schedule_for(v, dwell, [this, v, my_epoch, currently_online] {
-    if (epoch_[v] != my_epoch || failed_[v]) return;
-    if (currently_online)
-      go_offline(v);
-    else
-      go_online(v);
-    schedule_transition(v);
-  });
+  sim_.schedule_for(v, dwell, transition_event(v, my_epoch, currently_online));
   pending_[v] = PendingTransition{sim_.now() + dwell, sim_.last_ticket(),
                                   my_epoch, currently_online};
 }
@@ -79,21 +79,6 @@ void ChurnDriver::go_offline(NodeId v) {
   if (callbacks_.on_offline) callbacks_.on_offline(v);
 }
 
-NodeId ChurnDriver::add_node(const ChurnModel* model) {
-  PPO_CHECK_MSG(started_, "start the driver before adding nodes");
-  PPO_CHECK_MSG(!models_.empty(), "no base model to inherit");
-  const auto v = static_cast<NodeId>(num_nodes_++);
-  models_.push_back(model != nullptr ? model : models_.front());
-  if (!node_rngs_.empty()) node_rngs_.push_back(rng_.split());
-  online_.resize(num_nodes_, false);
-  failed_.push_back(0);
-  epoch_.push_back(0);
-  pending_.emplace_back();
-  go_online(v);
-  schedule_transition(v);
-  return v;
-}
-
 void ChurnDriver::fail_permanently(NodeId v) {
   PPO_CHECK_MSG(v < num_nodes_, "node out of range");
   ++epoch_[v];  // invalidate any pending transition
@@ -104,10 +89,8 @@ void ChurnDriver::fail_permanently(NodeId v) {
 void ChurnDriver::save_state(ckpt::Writer& w) const {
   w.tag(0x4348524Eu);  // 'CHRN'
   w.size(num_nodes_);
-  w.rng(rng_);
-  w.size(node_rngs_.size());
-  for (const Rng& r : node_rngs_) w.rng(r);
   for (NodeId v = 0; v < num_nodes_; ++v) {
+    w.rng(node_rngs_[v]);
     w.b(online_.contains(v));
     w.b(failed_[v] != 0);
     w.u64(epoch_[v]);
@@ -125,12 +108,8 @@ void ChurnDriver::load_state(ckpt::Reader& r) {
   const std::size_t n = r.size();
   if (n != num_nodes_)
     throw ckpt::ParseError("churn node count mismatch");
-  rng_ = r.rng();
-  const std::size_t streams = r.size();
-  if (streams != node_rngs_.size())
-    throw ckpt::ParseError("churn stream mode mismatch");
-  for (Rng& s : node_rngs_) s = r.rng();
   for (NodeId v = 0; v < num_nodes_; ++v) {
+    node_rngs_[v] = r.rng();
     online_.set(v, r.b());
     failed_[v] = r.b() ? 1 : 0;
     epoch_[v] = r.u64();
@@ -151,18 +130,9 @@ void ChurnDriver::restore_start(ChurnCallbacks callbacks) {
     // A node whose journaled epoch is stale (failed since) has no live
     // transition; everyone else gets theirs back verbatim.
     if (failed_[v] || pending_[v].epoch != epoch_[v]) continue;
-    const std::uint64_t my_epoch = pending_[v].epoch;
-    const bool currently_online = pending_[v].was_online;
-    sim::restore_event_any(
-        sim_, pending_[v].fire_time, pending_[v].ticket, v,
-        [this, v, my_epoch, currently_online] {
-          if (epoch_[v] != my_epoch || failed_[v]) return;
-          if (currently_online)
-            go_offline(v);
-          else
-            go_online(v);
-          schedule_transition(v);
-        });
+    const PendingTransition& p = pending_[v];
+    sim_.restore_event(p.fire_time, p.ticket, v,
+                       transition_event(v, p.epoch, p.was_online));
   }
 }
 

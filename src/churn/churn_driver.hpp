@@ -9,7 +9,7 @@
 #include "ckpt/io.hpp"
 #include "common/rng.hpp"
 #include "graph/graph.hpp"
-#include "sim/backend.hpp"
+#include "sim/sharded_simulator.hpp"
 
 namespace ppo::churn {
 
@@ -25,22 +25,18 @@ class ChurnDriver {
  public:
   /// Homogeneous population: all nodes share `model` (the paper gives
   /// every node the same availability parameters, §IV-B).
-  ChurnDriver(sim::SimulatorBackend& sim, std::size_t num_nodes,
-              const ChurnModel& model, Rng rng,
-              bool per_node_streams = false);
+  ChurnDriver(sim::ShardedSimulator& sim, std::size_t num_nodes,
+              const ChurnModel& model, Rng rng);
 
   /// Heterogeneous population (Yao et al.'s general setting): node v
   /// follows *models[v]. All pointers must outlive the driver.
   ///
-  /// With `per_node_streams` each node draws its dwell times from a
-  /// private stream split off `rng` in node order, so one node's
-  /// trajectory never perturbs another's — required for the sharded
-  /// backend, where transition events interleave differently per K.
-  /// The default (shared stream) preserves the legacy draw order
-  /// bit-exactly.
-  ChurnDriver(sim::SimulatorBackend& sim,
-              std::vector<const ChurnModel*> models, Rng rng,
-              bool per_node_streams = false);
+  /// Each node draws its dwell times from a private stream split off
+  /// `rng` in node order, and each transition is an event of its own
+  /// node, so one node's trajectory never perturbs another's and the
+  /// online masks are the same for every shard count.
+  ChurnDriver(sim::ShardedSimulator& sim,
+              std::vector<const ChurnModel*> models, Rng rng);
 
   /// Samples initial states from each node's stationary distribution
   /// (online with probability alpha_v) and schedules the first
@@ -52,7 +48,6 @@ class ChurnDriver {
   const graph::NodeMask& online_mask() const { return online_; }
   std::size_t online_count() const { return online_.count(num_nodes_); }
   std::size_t num_nodes() const { return num_nodes_; }
-  bool per_node_streams() const { return !node_rngs_.empty(); }
 
   /// Failure injection: the node goes offline now and never returns
   /// (until revive()).
@@ -62,15 +57,9 @@ class ChurnDriver {
   /// resumes normal churn.
   void revive(NodeId v);
 
-  /// Dynamic membership: registers one more node following `model`
-  /// (defaults to node 0's model). The node starts online (its join
-  /// moment) and then churns like everyone else. Driver must be
-  /// started. Returns the new node id.
-  NodeId add_node(const ChurnModel* model = nullptr);
-
   /// --- checkpoint/restore -------------------------------------------
-  /// Serializes RNG streams, the online/failed/epoch state and the
-  /// journal of each node's pending transition event.
+  /// Serializes each node's RNG stream, online/failed/epoch state and
+  /// the journal entry of its pending transition event.
   void save_state(ckpt::Writer& w) const;
   void load_state(ckpt::Reader& r);
 
@@ -84,15 +73,13 @@ class ChurnDriver {
   void go_online(NodeId v);
   void go_offline(NodeId v);
   void schedule_transition(NodeId v);
-  Rng& rng_for(NodeId v) {
-    return node_rngs_.empty() ? rng_ : node_rngs_[v];
-  }
+  sim::EventFn transition_event(NodeId v, std::uint64_t epoch,
+                                bool was_online);
 
-  sim::SimulatorBackend& sim_;
+  sim::ShardedSimulator& sim_;
   std::size_t num_nodes_;
   std::vector<const ChurnModel*> models_;  // one per node
-  Rng rng_;
-  std::vector<Rng> node_rngs_;  // non-empty iff per_node_streams
+  std::vector<Rng> node_rngs_;             // one per node
   graph::NodeMask online_;
   std::vector<char> failed_;
   /// Epoch counter per node: cancels stale transitions after

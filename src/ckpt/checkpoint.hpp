@@ -26,9 +26,10 @@
 namespace ppo::ckpt {
 
 inline constexpr std::uint32_t kMagic = 0x434F5050u;  // "PPOC"
-/// Version 2: the single-backend payload (no serial service state, no
-/// pseudonym-availability bit). Version-1 files load as kBadVersion.
-inline constexpr std::uint32_t kVersion = 2;
+/// Version 3: one RNG discipline per layer — the churn, transport and
+/// fault sections hold only node- and link-keyed streams (no shared
+/// streams, no stream-mode counts). Older files load as kBadVersion.
+inline constexpr std::uint32_t kVersion = 3;
 
 enum class Status {
   kOk,

@@ -5,7 +5,7 @@
 
 #include "common/check.hpp"
 #include "common/stats.hpp"
-#include "sim/simulator.hpp"
+#include "sim/sharded_simulator.hpp"
 
 namespace ppo::dissem {
 
@@ -16,7 +16,8 @@ struct BroadcastState {
   const graph::NodeMask& online;
   const BroadcastOptions& options;
   Rng& rng;
-  sim::Simulator sim;
+  /// One shard: every forward draws from the caller's one `rng`.
+  sim::ShardedSimulator sim;
 
   std::vector<char> received;
   BroadcastResult result;
@@ -25,6 +26,7 @@ struct BroadcastState {
   BroadcastState(const graph::Graph& graph, const graph::NodeMask& mask,
                  const BroadcastOptions& opts, Rng& r)
       : g(graph), online(mask), options(opts), rng(r),
+        sim({.num_actors = graph.num_nodes()}),
         received(graph.num_nodes(), 0) {}
 
   void forward_from(NodeId node, std::uint32_t hops) {
@@ -39,7 +41,7 @@ struct BroadcastState {
       ++result.messages_sent;
       const double latency_draw =
           rng.uniform_double(options.min_latency, options.max_latency);
-      sim.schedule_after(latency_draw, [this, next, hops] {
+      sim.schedule_for(next, latency_draw, [this, next, hops] {
         deliver(next, hops + 1);
       });
     }

@@ -39,7 +39,8 @@ struct BroadcastResult {
 
 /// Broadcasts one message from `source` across `g`, where only nodes
 /// in `online` participate (offline endpoints drop traffic). Runs its
-/// own event simulation to quiescence and reports delivery stats.
+/// own one-shard event simulation to quiescence, drawing fan-out and
+/// latencies from `rng` in delivery order, and reports delivery stats.
 /// `source` must be online.
 BroadcastResult broadcast(const graph::Graph& g,
                           const graph::NodeMask& online, NodeId source,

@@ -41,20 +41,22 @@ runner::SweepOptions sweep_options(const FigureScale& scale,
 }
 
 /// What one run contributes to its series in one alpha cell. Static
-/// baselines leave `health` zero.
+/// baselines leave `health` and `edges` zero.
 struct CellValue {
   double conn = 0.0;
   double napl = 0.0;
   metrics::ProtocolHealth health;
+  double edges = 0.0;  // mean snapshot edge count (sizes the ER reference)
 };
 
 CellValue static_value(const StaticRunResult& run) {
-  return {run.stats.frac_disconnected.mean(), run.stats.norm_apl.mean(), {}};
+  return {run.stats.frac_disconnected.mean(), run.stats.norm_apl.mean(), {},
+          0.0};
 }
 
 CellValue overlay_value(const OverlayRunResult& run) {
   return {run.stats.frac_disconnected.mean(), run.stats.norm_apl.mean(),
-          run.health};
+          run.health, run.stats.total_edges.mean()};
 }
 
 /// Common shape of the Figure 3/4 and Figure 7 sweeps: one shared
@@ -68,8 +70,11 @@ CellValue overlay_value(const OverlayRunResult& run) {
 struct AlphaSweepSpec {
   const char* label;
   std::vector<const char*> series;  // output series names, in order
-  std::uint64_t sizing_salt = 0;    // seed salt of the ER sizing run
-  std::uint64_t er_seed_salt = 0;   // salt of the ER construction seed
+  /// The series whose run in the first cell at the highest alpha sizes
+  /// the ER reference: an overlay with Table I lifetime on
+  /// trust_graph(0.5).
+  std::size_t sizing_series = 0;
+  std::uint64_t er_seed_salt = 0;  // salt of the ER construction seed
   std::function<CellValue(std::size_t series, double alpha, std::size_t index,
                           const graph::Graph& er)>
       run;
@@ -93,10 +98,9 @@ SweepFigure run_alpha_sweep(Workbench& bench, const FigureScale& scale,
     return scale.alphas[cell / replicas];
   };
 
-  // One pool task per run. Task 0 sizes the ER reference; then every
-  // cell's other runs, highest alpha first (a run's work grows with
-  // its online population; the stable sort keeps index order within
-  // one alpha); the ER baselines come last.
+  // One pool task per run: every cell's non-ER runs, highest alpha
+  // first (a run's work grows with its online population; the stable
+  // sort keeps index order within one alpha), then the ER baselines.
   struct Run {
     std::size_t cell;
     std::size_t series;
@@ -113,10 +117,14 @@ SweepFigure run_alpha_sweep(Workbench& bench, const FigureScale& scale,
   // ONE Erdős–Rényi reference graph, sized once from the converged
   // overlay (highest availability in the sweep) — the paper compares
   // against a fixed random graph "of similar size and average
-  // fan-out", not one resized per churn level.
-  const graph::Graph& sizing_trust = bench.trust_graph(0.5);
-  const double alpha_max =
-      *std::max_element(scale.alphas.begin(), scale.alphas.end());
+  // fan-out", not one resized per churn level. Its edge count M is the
+  // sizing series' mean in the first cell at alpha_max (replica 0).
+  const std::size_t nodes = bench.trust_graph(0.5).num_nodes();
+  const std::size_t sizing_cell =
+      static_cast<std::size_t>(
+          std::max_element(scale.alphas.begin(), scale.alphas.end()) -
+          scale.alphas.begin()) *
+      replicas;
   std::promise<graph::Graph> er_promise;
   const std::shared_future<graph::Graph> er_future =
       er_promise.get_future().share();
@@ -124,41 +132,41 @@ SweepFigure run_alpha_sweep(Workbench& bench, const FigureScale& scale,
 
   std::vector<CellValue> values(cells * width);
   std::vector<double> run_seconds(cells * width, 0.0);
-  // The ER runs block on task 0 and cannot deadlock: ThreadPool hands
-  // out tasks in FIFO order and task 0 never waits, so whenever a
-  // worker reaches an ER run, task 0 is already running or done.
+  // The ER runs block on the sizing run, which fulfils the future or,
+  // on any exception, fails it. They cannot deadlock: the sizing run
+  // is in the first alpha group, ahead of every ER run, ThreadPool
+  // hands out tasks in FIFO order, and the sizing run never waits, so
+  // whenever a worker reaches an ER run, the sizing run is already
+  // running or done.
   const runner::SweepTelemetry pass = runner::run_indexed(
-      1 + runs.size(), sweep_options(scale, spec.label),
+      runs.size(), sweep_options(scale, spec.label),
       [&](const runner::CellInfo& task) {
-        if (task.index == 0) {
-          try {
-            const auto sizing = run_overlay(
-                sizing_trust,
-                base_scenario(scale, alpha_max, spec.sizing_salt));
-            er_promise.set_value(er_reference(
-                sizing_trust.num_nodes(),
-                static_cast<std::size_t>(
-                    std::llround(sizing.stats.total_edges.mean())),
-                scale.seed ^ spec.er_seed_salt));
-          } catch (...) {
-            er_promise.set_exception(std::current_exception());
-            throw;
-          }
-          return;
-        }
-        const Run run = runs[task.index - 1];
+        const Run run = runs[task.index];
+        const bool sizing =
+            run.cell == sizing_cell && run.series == spec.sizing_series;
         const graph::Graph& er =
             run.series == er_series ? er_future.get() : no_er;
         const auto start = std::chrono::steady_clock::now();
         const std::size_t slot = run.cell * width + run.series;
-        values[slot] = spec.run(run.series, alpha_of(run.cell), run.cell, er);
-        run_seconds[slot] = std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - start)
-                                .count();
+        try {
+          values[slot] =
+              spec.run(run.series, alpha_of(run.cell), run.cell, er);
+          run_seconds[slot] = std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - start)
+                                  .count();
+          if (sizing) {
+            const auto edges =
+                static_cast<std::size_t>(std::llround(values[slot].edges));
+            er_promise.set_value(
+                er_reference(nodes, edges, scale.seed ^ spec.er_seed_salt));
+          }
+        } catch (...) {
+          if (sizing) er_promise.set_exception(std::current_exception());
+          throw;
+        }
       });
 
-  // Fold runs back into cells. The sizing run belongs to no cell; the
-  // sweep's wall time covers it.
+  // Fold runs back into cells.
   fig.telemetry.cells = cells;
   fig.telemetry.jobs = pass.jobs;
   fig.telemetry.wall_seconds = pass.wall_seconds;
@@ -202,7 +210,7 @@ SweepFigure availability_sweep(Workbench& bench, const FigureScale& scale) {
   spec.label = "availability-sweep";
   spec.series = {"trust-f1.0", "trust-f0.5", "overlay-f1.0", "overlay-f0.5",
                  "random"};
-  spec.sizing_salt = 99;
+  spec.sizing_series = 3;  // overlay-f0.5
   spec.er_seed_salt = 0xE6;
   spec.run = [&scale, &t10, &t05](std::size_t series, double alpha,
                                   std::size_t i, const graph::Graph& er) {
@@ -235,7 +243,7 @@ SweepFigure lifetime_sweep(Workbench& bench, const FigureScale& scale) {
   AlphaSweepSpec spec;
   spec.label = "lifetime-sweep";
   spec.series = {"trust-graph", "r1", "r3", "r9", "r-infinite", "random"};
-  spec.sizing_salt = 199;
+  spec.sizing_series = 2;  // r3: Table I lifetime
   spec.er_seed_salt = 0xE7;
   spec.run = [&scale, &trust](std::size_t series, double alpha,
                               std::size_t i, const graph::Graph& er) {
@@ -435,7 +443,6 @@ FaultFigure fault_tolerance_sweep(Workbench& bench, const FigureScale& scale,
           fault::FaultPlan plan;
           plan.drop_probability = spec.loss_rates[k];
           plan.seed = base.seed ^ (0xFA0000 + k);
-          plan.per_link_streams = true;
           lossy.faults = plan;
           lossy.params.shuffle_timeout = spec.shuffle_timeout;
           lossy.params.shuffle_retry_backoff = spec.retry_backoff;

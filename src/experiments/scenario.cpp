@@ -19,7 +19,6 @@
 #include "metrics/streaming_connectivity.hpp"
 #include "overlay/sharded_service.hpp"
 #include "sim/sharded_simulator.hpp"
-#include "sim/simulator.hpp"
 
 namespace ppo::experiments {
 
@@ -283,7 +282,6 @@ std::uint64_t warm_cell_hash(const graph::Graph& trust,
     w.f64(f.diurnal.period);
     w.f64(f.diurnal.phase);
     w.u64(f.seed);
-    w.b(f.per_link_streams);
   }
   w.b(scenario.adversary.has_value());
   if (scenario.adversary) {
@@ -467,7 +465,10 @@ bool runs_identical(const OverlayRunResult& a, const OverlayRunResult& b) {
 StaticRunResult run_static(const graph::Graph& g, const ChurnSpec& churn_spec,
                            const MeasureWindow& window, std::uint64_t seed) {
   check_window(window);
-  sim::Simulator sim;
+  // One shard. Nothing crosses a shard at K = 1, so the window length
+  // is free; one sampling interval keeps the window count small.
+  sim::ShardedSimulator sim(
+      {.num_actors = g.num_nodes(), .lookahead = window.sample_every});
   const auto model = churn_spec.make();
   churn::ChurnDriver driver(sim, g.num_nodes(), *model, Rng(seed));
   driver.start({});
@@ -511,7 +512,9 @@ metrics::TimeSeries run_static_trace(const graph::Graph& g,
                                      const ChurnSpec& churn_spec,
                                      double horizon, double sample_every,
                                      std::uint64_t seed) {
-  sim::Simulator sim;
+  // One shard, windows of one sampling interval (see run_static).
+  sim::ShardedSimulator sim(
+      {.num_actors = g.num_nodes(), .lookahead = sample_every});
   const auto model = churn_spec.make();
   churn::ChurnDriver driver(sim, g.num_nodes(), *model, Rng(seed));
   driver.start({});

@@ -50,9 +50,8 @@ struct OverlayScenario {
 
   /// Fault-injection extension: per-message/link adversities applied
   /// to the transport (absent or inert = bit-identical to a fault-free
-  /// run; an enabled plan must set per_link_streams), node-crash
-  /// bursts from the same plan, and pseudonym-service blackout
-  /// windows.
+  /// run), node-crash bursts from the same plan, and pseudonym-service
+  /// blackout windows.
   std::optional<fault::FaultPlan> faults;
   fault::ServiceFaults service_faults;
 

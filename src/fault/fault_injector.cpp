@@ -6,7 +6,7 @@
 
 namespace ppo::fault {
 
-FaultInjector::FaultInjector(sim::SimulatorBackend& sim, Hooks hooks,
+FaultInjector::FaultInjector(sim::ShardedSimulator& sim, Hooks hooks,
                              std::vector<NodeCrashEvent> node_crashes)
     : sim_(sim),
       hooks_(std::move(hooks)),
@@ -24,10 +24,10 @@ void FaultInjector::arm() {
   PPO_CHECK_MSG(!armed_, "fault injector already armed");
   armed_ = true;
 
-  // Each crash is scheduled for its victim, so on the sharded backend
-  // it executes on the victim's shard and only touches that node's
-  // churn state. The counters are bumped at arm time (the timeline is
-  // fixed data), keeping the event bodies free of shared writes.
+  // Each crash is scheduled for its victim, so it executes on the
+  // victim's shard and only touches that node's churn state. The
+  // counters are bumped at arm time (the timeline is fixed data),
+  // keeping the event bodies free of shared writes.
   for (const NodeCrashEvent& c : node_crashes_) {
     sim_.schedule_at_for(c.node, c.at, [this, v = c.node] {
       hooks_.fail_node(v);

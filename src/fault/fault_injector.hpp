@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "fault/fault_stream.hpp"
-#include "sim/backend.hpp"
+#include "sim/sharded_simulator.hpp"
 
 namespace ppo::fault {
 
@@ -38,7 +38,7 @@ class FaultInjector {
     std::uint64_t nodes_revived = 0;
   };
 
-  FaultInjector(sim::SimulatorBackend& sim, Hooks hooks,
+  FaultInjector(sim::ShardedSimulator& sim, Hooks hooks,
                 std::vector<NodeCrashEvent> node_crashes);
 
   /// Schedules every crash and revival. Call once, before running the
@@ -48,7 +48,7 @@ class FaultInjector {
   const Counters& counters() const { return counters_; }
 
  private:
-  sim::SimulatorBackend& sim_;
+  sim::ShardedSimulator& sim_;
   Hooks hooks_;
   std::vector<NodeCrashEvent> node_crashes_;
   bool armed_ = false;

@@ -13,6 +13,8 @@ bool FaultPlan::enabled() const {
 }
 
 void FaultPlan::validate() const {
+  PPO_CHECK_MSG(per_link_streams,
+                "fate streams are per link: per_link_streams must be true");
   PPO_CHECK_MSG(drop_probability >= 0.0 && drop_probability <= 1.0,
                 "drop_probability must be in [0,1]");
   PPO_CHECK_MSG(duplicate_probability >= 0.0 && duplicate_probability <= 1.0,

@@ -62,7 +62,7 @@ struct NodeCrashSpec {
 /// the plan's per-link loss (clamped to [0,1]). The chain is stepped
 /// on a fixed grid and pre-materialized from the plan seed at
 /// wrap time, so queries are read-only — the profile is K-invariant
-/// on the sharded backend by construction.
+/// by construction.
 struct GilbertElliottProfile {
   double p_good_to_bad = 0.0;
   double p_bad_to_good = 0.0;
@@ -144,13 +144,11 @@ struct FaultPlan {
   /// perturbs the protocol's random draws.
   std::uint64_t seed = 0x5EED;
 
-  /// Derive each link's fate stream per (seed, from, to, message
-  /// index) instead of from one shared sequential stream. Fault
-  /// patterns then depend only on a link's own traffic — required by
-  /// the overlay service (K-invariance on the sharded core); the
-  /// shared stream remains for transports driven directly. The
-  /// zero-fault guarantee below holds in both modes.
-  bool per_link_streams = false;
+  /// Fate streams are always derived per (seed, from, to, message
+  /// index), so fault patterns depend only on a link's own traffic.
+  /// The field stays for plan code that sets it; validate() refuses
+  /// false, since no shared fate stream exists.
+  bool per_link_streams = true;
 
   /// True when any transport-level fault can ever fire. An all-zero
   /// plan is inert and FaultyTransport guarantees bit-identical
@@ -161,7 +159,7 @@ struct FaultPlan {
   bool has_node_crashes() const { return !node_crashes.empty(); }
 
   /// Throws CheckError on nonsense (negative probabilities/delays,
-  /// inverted windows).
+  /// inverted windows, per_link_streams unset).
   void validate() const;
 
   /// Is any link blackout active at time t?

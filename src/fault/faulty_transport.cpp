@@ -9,25 +9,21 @@
 
 namespace ppo::fault {
 
-FaultyTransport::FaultyTransport(sim::SimulatorBackend& sim,
+FaultyTransport::FaultyTransport(sim::ShardedSimulator& sim,
                                  privacylink::LinkTransport& inner,
                                  FaultPlan plan, std::size_t num_nodes)
     : sim_(sim),
       inner_(inner),
       plan_(std::move(plan)),
-      rng_(plan_.seed ^ 0xFA017ULL) {
+      link_counts_(num_nodes) {
   plan_.validate();
-  if (plan_.per_link_streams) {
-    PPO_CHECK_MSG(num_nodes > 0,
-                  "per_link_streams needs the node count to key senders");
-    link_counts_.resize(num_nodes);
-  }
+  PPO_CHECK_MSG(num_nodes > 0, "fault streams need the node count");
   for (const LinkDropOverride& o : plan_.link_drop_overrides)
     drop_overrides_[link_key(o.from, o.to)] = o.drop_prob;
   if (plan_.gilbert_elliott.enabled()) {
     // Materialize the whole burst chain up front from its own derived
     // stream: fate draws never interleave with the chain's, and state
-    // queries are read-only (K-invariant on the sharded backend).
+    // queries are read-only (K-invariant).
     const GilbertElliottProfile& ge = plan_.gilbert_elliott;
     const auto steps =
         static_cast<std::size_t>(ge.horizon / ge.step) + 1;
@@ -107,33 +103,30 @@ FaultyTransport::Fate FaultyTransport::decide_fate(graph::NodeId from,
       return fate;
     }
   }
-  // Pick the decision stream: the legacy shared RNG, or a stream
-  // derived from this link's own message index so the pattern is
-  // independent of how other links' traffic interleaves.
-  Rng link_rng(0);
-  Rng* rng = &rng_;
-  if (plan_.per_link_streams) {
-    const std::uint64_t index = link_counts_[from][to]++;
-    link_rng = Rng(derive_seed(plan_.seed ^ 0xFA017ULL, from, to, index));
-    rng = &link_rng;
-  }
+  // The decision stream derives from this link's own message index, so
+  // the pattern is independent of how other links' traffic interleaves.
+  Rng rng = next_link_rng(from, to);
   // Every draw below is guarded so an inert plan never touches the
   // RNG (part of the zero-fault no-op guarantee).
   const double drop_prob = std::min(
       1.0, drop_probability_on(from, to) + profile_extra_drop(now));
-  if (drop_prob > 0.0 && rng->bernoulli(drop_prob)) {
+  if (drop_prob > 0.0 && rng.bernoulli(drop_prob)) {
     fate.drop = true;
     fate.drop_counter = &counters_.injected_drops;
     return fate;
   }
   if (plan_.jitter_max > 0.0)
-    fate.extra_delay +=
-        rng->uniform_double(plan_.jitter_min, plan_.jitter_max);
+    fate.extra_delay += rng.uniform_double(plan_.jitter_min, plan_.jitter_max);
   if (plan_.reorder_probability > 0.0 &&
-      rng->bernoulli(plan_.reorder_probability))
+      rng.bernoulli(plan_.reorder_probability))
     fate.extra_delay +=
-        rng->uniform_double(plan_.reorder_min_delay, plan_.reorder_max_delay);
+        rng.uniform_double(plan_.reorder_min_delay, plan_.reorder_max_delay);
   return fate;
+}
+
+Rng FaultyTransport::next_link_rng(graph::NodeId from, graph::NodeId to) {
+  const std::uint64_t index = link_counts_[from][to]++;
+  return Rng(derive_seed(plan_.seed ^ 0xFA017ULL, from, to, index));
 }
 
 bool FaultyTransport::send_copy(graph::NodeId from, graph::NodeId to,
@@ -180,8 +173,6 @@ bool FaultyTransport::send_copy(graph::NodeId from, graph::NodeId to,
 
 void FaultyTransport::save_state(ckpt::Writer& w) const {
   w.tag(0x464C5459u);  // 'FLTY'
-  w.rng(rng_);
-  w.size(link_counts_.size());
   for (const auto& per_sender : link_counts_) {
     // unordered_map iteration order is not deterministic: serialize
     // sorted by destination so identical states write identical bytes.
@@ -205,9 +196,6 @@ void FaultyTransport::save_state(ckpt::Writer& w) const {
 
 void FaultyTransport::load_state(ckpt::Reader& r) {
   r.tag(0x464C5459u);
-  rng_ = r.rng();
-  if (r.size() != link_counts_.size())
-    throw ckpt::ParseError("fault stream mode mismatch");
   for (auto& per_sender : link_counts_) {
     per_sender.clear();
     const std::size_t n = r.size();
@@ -230,18 +218,9 @@ bool FaultyTransport::send(graph::NodeId from, graph::NodeId to,
   const Fate fate = decide_fate(from, to);
   const bool accepted = send_copy(from, to, on_deliver, fate);
   if (accepted && plan_.duplicate_probability > 0.0) {
-    // The duplication decision uses the same stream discipline as the
-    // fates: shared draw order in legacy mode, a fresh per-link index
-    // in per-link mode.
-    bool duplicate;
-    if (plan_.per_link_streams) {
-      const std::uint64_t index = link_counts_[from][to]++;
-      Rng r(derive_seed(plan_.seed ^ 0xFA017ULL, from, to, index));
-      duplicate = r.bernoulli(plan_.duplicate_probability);
-    } else {
-      duplicate = rng_.bernoulli(plan_.duplicate_probability);
-    }
-    if (duplicate) {
+    // The duplication decision takes a fresh per-link index, like the
+    // fates.
+    if (next_link_rng(from, to).bernoulli(plan_.duplicate_probability)) {
       counters_.duplicates.fetch_add(1, std::memory_order_relaxed);
       // The copy traverses the network independently: own loss and
       // delay draws, and it counts as one more message on the wire.

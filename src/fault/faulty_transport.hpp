@@ -10,12 +10,10 @@
 //    makes the wrapper a true no-op: it forwards every send verbatim,
 //    never touches its RNG, and the simulation trajectory is
 //    bit-identical to running on the bare inner transport;
-//  - fault decisions are reproducible: with the legacy shared stream
-//    they are drawn from a private RNG seeded only by FaultPlan::seed
-//    in send order; with plan.per_link_streams each decision comes
-//    from a stream derived per (seed, from, to, link message index),
-//    so a link's fault pattern depends only on its own traffic — the
-//    form the sharded backend requires for K-invariance.
+//  - fault decisions are reproducible: each one comes from a stream
+//    derived per (FaultPlan::seed, from, to, link message index), so
+//    a link's fault pattern depends only on its own traffic and is the
+//    same for every shard count.
 #pragma once
 
 #include <atomic>
@@ -27,7 +25,7 @@
 #include "fault/fault_plan.hpp"
 #include "privacylink/delivery_journal.hpp"
 #include "privacylink/link_transport.hpp"
-#include "sim/backend.hpp"
+#include "sim/sharded_simulator.hpp"
 
 namespace ppo::fault {
 
@@ -49,11 +47,10 @@ class FaultyTransport final : public privacylink::LinkTransport {
   };
 
   /// `inner` must outlive the wrapper. The plan is validated here.
-  /// `num_nodes` bounds sender ids and is required (> 0) when
-  /// plan.per_link_streams is set.
-  FaultyTransport(sim::SimulatorBackend& sim,
+  /// `num_nodes` (> 0) bounds sender ids.
+  FaultyTransport(sim::ShardedSimulator& sim,
                   privacylink::LinkTransport& inner, FaultPlan plan,
-                  std::size_t num_nodes = 0);
+                  std::size_t num_nodes);
 
   /// Sends through the inner transport, applying the plan's faults.
   /// Returns false exactly when the inner transport refuses the send
@@ -97,7 +94,7 @@ class FaultyTransport final : public privacylink::LinkTransport {
     };
   }
 
-  /// Fate RNG streams, per-link message indices and all counters.
+  /// Per-link message indices and all counters.
   void save_state(ckpt::Writer& w) const;
   void load_state(ckpt::Reader& r);
 
@@ -121,15 +118,17 @@ class FaultyTransport final : public privacylink::LinkTransport {
     return (static_cast<std::uint64_t>(from) << 32) | to;
   }
 
+  /// Stream of the next fate decision on from -> to: derived from the
+  /// link's own message index, which it advances.
+  Rng next_link_rng(graph::NodeId from, graph::NodeId to);
   Fate decide_fate(graph::NodeId from, graph::NodeId to);
   bool send_copy(graph::NodeId from, graph::NodeId to,
                  const sim::EventFn& on_deliver, const Fate& fate);
   bool in_partition_group(std::size_t partition, graph::NodeId v) const;
 
-  sim::SimulatorBackend& sim_;
+  sim::ShardedSimulator& sim_;
   privacylink::LinkTransport& inner_;
   FaultPlan plan_;
-  Rng rng_;  // shared fate stream (legacy mode)
   /// Per-sender message counters for per-link stream derivation,
   /// indexed by sender — only the sender's shard ever touches its
   /// slot, so no lock is needed.

@@ -39,11 +39,6 @@ class NodeMask {
   }
   void set(NodeId v, bool included) { included_[v] = included ? 1 : 0; }
 
-  /// Grows the mask to cover `n` nodes (new entries get `included`).
-  void resize(std::size_t n, bool included) {
-    included_.resize(n, included ? 1 : 0);
-  }
-
   /// Number of included nodes, assuming the mask covers `n` nodes.
   std::size_t count(std::size_t n) const;
 

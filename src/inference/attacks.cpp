@@ -35,15 +35,6 @@ class UnionFind {
   std::vector<std::size_t> parent_;
 };
 
-std::size_t profile_index(const std::vector<PseudonymProfile>& profiles,
-                          PseudonymValue value) {
-  const auto it = std::lower_bound(
-      profiles.begin(), profiles.end(), value,
-      [](const PseudonymProfile& p, PseudonymValue v) { return p.value < v; });
-  PPO_CHECK(it != profiles.end() && it->value == value);
-  return static_cast<std::size_t>(it - profiles.begin());
-}
-
 double jaccard(const std::vector<PseudonymValue>& a,
                const std::vector<PseudonymValue>& b) {
   if (a.empty() || b.empty()) return 0.0;

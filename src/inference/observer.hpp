@@ -30,7 +30,7 @@
 #include "ckpt/io.hpp"
 #include "graph/graph.hpp"
 #include "privacylink/pseudonym.hpp"
-#include "sim/simulator.hpp"
+#include "sim/types.hpp"
 
 namespace ppo::inference {
 

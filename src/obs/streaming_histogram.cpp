@@ -63,9 +63,14 @@ void StreamingHistogram::observe(double value) {
 
 StreamingHistogram::Snapshot StreamingHistogram::snapshot() const {
   Snapshot snap;
-  for (std::size_t i = 0; i < kBuckets; ++i)
+  // The count is the mass of the buckets read, not count_: observe()
+  // bumps a bucket before count_, so a concurrent scrape could read
+  // more count than bucket mass, and quantile() would then walk past
+  // the last bucket.
+  for (std::size_t i = 0; i < kBuckets; ++i) {
     snap.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
-  snap.count = count_.load(std::memory_order_relaxed);
+    snap.count += snap.buckets[i];
+  }
   snap.sum = std::bit_cast<double>(sum_bits_.load(std::memory_order_relaxed));
   snap.max = std::bit_cast<double>(max_bits_.load(std::memory_order_relaxed));
   return snap;

@@ -51,8 +51,8 @@ class StreamingHistogram {
   static double bucket_upper_bound(std::size_t i);
 
   /// Point-in-time copy, safe to take while other threads observe.
-  /// Counts are each individually consistent (monotone snapshots may
-  /// disagree by in-flight samples; never torn).
+  /// `count` always equals the sum of `buckets`; sum and max may lag or
+  /// lead them by in-flight samples (never torn).
   struct Snapshot {
     std::uint64_t count = 0;
     double sum = 0.0;

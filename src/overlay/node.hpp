@@ -166,8 +166,9 @@ class OverlayNode {
   void load_state(ckpt::Reader& r);
 
   /// After load_state: the timers that were pending at save time. The
-  /// owning service re-registers them with restore_event_any using
-  /// make_renewal_event / make_timeout_event as payloads.
+  /// owning service re-registers them with
+  /// ShardedSimulator::restore_event, using make_renewal_event /
+  /// make_timeout_event as payloads.
   const std::vector<TimerRecord>& restored_renewal_timers() const {
     return renewal_journal_;
   }

@@ -6,7 +6,6 @@
 
 #include "common/check.hpp"
 #include "obs/trace.hpp"
-#include "sim/restore.hpp"
 
 namespace ppo::overlay {
 
@@ -55,8 +54,8 @@ ShardedOverlayService::ShardedOverlayService(
       options_(options),
       seed_(seed),
       pseudonyms_(options_.params.pseudonym_bits),
-      churn_(sim, std::move(churn_models), Rng(derive_seed(seed, kChurnStream)),
-             /*per_node_streams=*/true),
+      churn_(sim, std::move(churn_models),
+             Rng(derive_seed(seed, kChurnStream))),
       external_node_(kNoExternalNode) {
   const std::size_t n = trust_graph.num_nodes();
   PPO_CHECK_MSG(n >= 2, "trust graph too small");
@@ -76,22 +75,19 @@ ShardedOverlayService::ShardedOverlayService(
     mix_ = std::make_unique<privacylink::MixNetwork>(
         sim, options_.mix, Rng(derive_seed(seed, kMixStream)));
     transport_ = std::make_unique<privacylink::MixTransport>(
-        sim, *mix_, options_.mix_transport,
-        Rng(derive_seed(seed, kMixTransportStream)), online,
-        /*per_sender_streams=*/n);
+        *mix_, options_.mix_transport,
+        Rng(derive_seed(seed, kMixTransportStream)), online, n);
   } else {
     PPO_CHECK_MSG(options_.transport.min_latency >= sim_.lookahead(),
                   "transport min latency below the lookahead window");
     auto bare = std::make_unique<privacylink::Transport>(
         sim, options_.transport, Rng(derive_seed(seed, kTransportStream)),
-        online, /*per_sender_streams=*/n);
+        online, n);
     bare_ = bare.get();
     transport_ = std::move(bare);
   }
   link_ = transport_.get();
   if (options_.link_faults && options_.link_faults->enabled()) {
-    PPO_CHECK_MSG(options_.link_faults->per_link_streams,
-                  "sharded runs need per_link_streams fault plans");
     faulty_ = std::make_unique<fault::FaultyTransport>(
         sim, *transport_, *options_.link_faults, n);
     link_ = faulty_.get();
@@ -599,11 +595,11 @@ void ShardedOverlayService::restore_from_checkpoint(ckpt::Reader& r) {
   for (NodeId v = 0; v < nodes_.size(); ++v) {
     nodes_[v].load_state(r);
     for (const auto& t : nodes_[v].restored_renewal_timers())
-      sim::restore_event_any(sim_, t.fire_time, t.ticket, v,
-                             nodes_[v].make_renewal_event(t.key));
+      sim_.restore_event(t.fire_time, t.ticket, v,
+                         nodes_[v].make_renewal_event(t.key));
     for (const auto& t : nodes_[v].restored_exchange_timers())
-      sim::restore_event_any(sim_, t.fire_time, t.ticket, v,
-                             nodes_[v].make_timeout_event(t.key));
+      sim_.restore_event(t.fire_time, t.ticket, v,
+                         nodes_[v].make_timeout_event(t.key));
   }
   const std::size_t in_flight = r.size();
   for (std::size_t i = 0; i < in_flight; ++i) {

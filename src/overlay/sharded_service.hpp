@@ -14,8 +14,8 @@
 //    tag, node id) via derive_seed() — churn dwell times, protocol
 //    draws, pseudonym values and tick phases belong to their node, not
 //    to a global draw order;
-//  - the transport runs per-sender latency streams, and an enabled
-//    fault plan must use per-link fate streams;
+//  - the transport runs per-sender latency streams, and the fault
+//    wrapper per-link fate streams;
 //  - the pseudonym registry is read-only while a window runs: nodes
 //    resolve through the const lookup() path, and freshly minted
 //    pseudonyms are buffered per shard and published at the window
@@ -57,23 +57,25 @@
 
 namespace ppo::overlay {
 
+/// Every field has a default initializer, so a partial designated
+/// initializer such as `{.params = p}` compiles without
+/// -Wmissing-field-initializers.
 struct OverlayServiceOptions {
-  OverlayParams params;
-  privacylink::TransportOptions transport;
+  OverlayParams params{};
+  privacylink::TransportOptions transport{};
 
   /// Full-stack mode: protocol messages ride real onion circuits
   /// through a MixNetwork instead of the ideal transport. Expensive;
   /// for small-scale validation and demos (see DESIGN.md).
   bool use_mix_network = false;
-  privacylink::MixOptions mix;
-  privacylink::MixTransportOptions mix_transport;
+  privacylink::MixOptions mix{};
+  privacylink::MixTransportOptions mix_transport{};
 
   /// Fault-injection extension: when set and enabled(), the transport
-  /// is wrapped in a FaultyTransport applying this plan, which must
-  /// set per_link_streams. An absent or inert plan leaves the
-  /// simulation bit-identical to an unwrapped run (the fault stream
-  /// has its own seed).
-  std::optional<fault::FaultPlan> link_faults;
+  /// is wrapped in a FaultyTransport applying this plan. An absent or
+  /// inert plan leaves the simulation bit-identical to an unwrapped
+  /// run (the fault streams have their own seed).
+  std::optional<fault::FaultPlan> link_faults{};
 
   /// Byzantine-adversary extension (§III-E): when set and enabled(),
   /// an AdversaryEngine intercepts the shuffle send seams and drives
@@ -81,7 +83,7 @@ struct OverlayServiceOptions {
   /// engine construction entirely, so the run stays bit-identical to
   /// the unwrapped baseline (the engine draws only from plan-derived
   /// streams, never from the service's streams).
-  std::optional<adversary::AdversaryPlan> adversary;
+  std::optional<adversary::AdversaryPlan> adversary{};
 
   /// Link-privacy measurement extension (§III): when set and
   /// enabled(), a passive ObserverAdversary records the shuffle
@@ -89,7 +91,7 @@ struct OverlayServiceOptions {
   /// same send seams — it never perturbs the trajectory — and a
   /// zero-coverage plan skips construction entirely, keeping the run
   /// bit-identical to one with no plan at all.
-  std::optional<inference::ObserverPlan> observer;
+  std::optional<inference::ObserverPlan> observer{};
 };
 
 /// Simulator options that fit a service with `options` over `nodes`
@@ -104,8 +106,7 @@ class ShardedOverlayService final : public NodeEnvironment {
  public:
   /// `sim.num_actors()` must equal the trust graph's node count.
   /// Mix mode additionally requires min_hop_latency to clear the
-  /// lookahead window (the exit hop crosses shards). An enabled
-  /// link-fault plan must set per_link_streams.
+  /// lookahead window (the exit hop crosses shards).
   ShardedOverlayService(sim::ShardedSimulator& sim,
                         const graph::Graph& trust_graph,
                         const churn::ChurnModel& churn_model,

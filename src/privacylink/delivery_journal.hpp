@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "sim/backend.hpp"
+#include "sim/types.hpp"
 
 namespace ppo::privacylink {
 

@@ -10,7 +10,7 @@
 #include <cstdint>
 
 #include "graph/graph.hpp"
-#include "sim/simulator.hpp"
+#include "sim/types.hpp"
 
 namespace ppo::privacylink {
 

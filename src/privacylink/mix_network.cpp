@@ -28,7 +28,7 @@ std::uint64_t message_fingerprint(crypto::BytesView message) {
 
 }  // namespace
 
-MixNetwork::MixNetwork(sim::SimulatorBackend& sim, MixOptions options, Rng rng)
+MixNetwork::MixNetwork(sim::ShardedSimulator& sim, MixOptions options, Rng rng)
     : sim_(sim), options_(options), rng_(rng) {
   PPO_CHECK_MSG(options_.num_relays >= 1, "mix needs at least one relay");
   relays_.reserve(options_.num_relays);
@@ -65,7 +65,7 @@ double MixNetwork::hop_latency(Rng& rng) const {
 
 void MixNetwork::send(const std::vector<RelayId>& route, crypto::Bytes payload,
                       std::function<void(crypto::Bytes)> deliver, Rng& rng,
-                      sim::ActorId deliver_actor) {
+                      sim::ActorId sender, sim::ActorId recipient) {
   PPO_CHECK_MSG(!route.empty(), "empty mix route");
   std::vector<HopSpec> hops;
   hops.reserve(route.size());
@@ -80,13 +80,13 @@ void MixNetwork::send(const std::vector<RelayId>& route, crypto::Bytes payload,
   // the whole trajectory is a function of the sender's send sequence.
   Rng msg_rng(rng.next_u64());
   const double entry_latency = hop_latency(msg_rng);
-  sim_.schedule_after(entry_latency,
-                      [this, entry = route.front(), msg = std::move(wrapped),
-                       deliver = std::move(deliver), msg_rng,
-                       deliver_actor]() mutable {
-                        forward(entry, std::move(msg), std::move(deliver),
-                                msg_rng, deliver_actor);
-                      });
+  sim_.schedule_for(sender, entry_latency,
+                    [this, entry = route.front(), msg = std::move(wrapped),
+                     deliver = std::move(deliver), msg_rng,
+                     recipient]() mutable {
+                      forward(entry, std::move(msg), std::move(deliver),
+                              msg_rng, recipient);
+                    });
 }
 
 void MixNetwork::forward(RelayId relay, crypto::Bytes message,
@@ -128,10 +128,7 @@ void MixNetwork::forward(RelayId relay, crypto::Bytes message,
     };
     // The exit hop is the only shard crossing: relay hops stay on the
     // sender's shard, the delivery belongs to the destination actor.
-    if (deliver_actor == sim::kExternalActor)
-      sim_.schedule_after(latency, std::move(deliver_fn));
-    else
-      sim_.schedule_for(deliver_actor, latency, std::move(deliver_fn));
+    sim_.schedule_for(deliver_actor, latency, std::move(deliver_fn));
     return;
   }
   if (layer->next_hop >= relays_.size()) {
@@ -150,16 +147,17 @@ void MixNetwork::forward(RelayId relay, crypto::Bytes message,
 }
 
 void MixNetwork::inject(RelayId relay, crypto::Bytes message,
-                        std::function<void(crypto::Bytes)> deliver) {
+                        std::function<void(crypto::Bytes)> deliver,
+                        sim::ActorId actor) {
   PPO_CHECK_MSG(relay < relays_.size(), "relay id out of range");
   Rng msg_rng(rng_.next_u64());
   const double latency = hop_latency(msg_rng);
-  sim_.schedule_after(latency,
-                      [this, relay, msg = std::move(message),
-                       deliver = std::move(deliver), msg_rng]() mutable {
-                        forward(relay, std::move(msg), std::move(deliver),
-                                msg_rng, sim::kExternalActor);
-                      });
+  sim_.schedule_for(actor, latency,
+                    [this, relay, msg = std::move(message),
+                     deliver = std::move(deliver), msg_rng, actor]() mutable {
+                      forward(relay, std::move(msg), std::move(deliver),
+                              msg_rng, actor);
+                    });
 }
 
 void MixNetwork::schedule_crash(RelayId r, double crash_at, double revive_at) {

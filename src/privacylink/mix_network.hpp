@@ -23,7 +23,7 @@
 
 #include "common/rng.hpp"
 #include "privacylink/onion.hpp"
-#include "sim/backend.hpp"
+#include "sim/sharded_simulator.hpp"
 
 namespace ppo::privacylink {
 
@@ -39,7 +39,7 @@ struct MixOptions {
 
 class MixNetwork {
  public:
-  MixNetwork(sim::SimulatorBackend& sim, MixOptions options, Rng rng);
+  MixNetwork(sim::ShardedSimulator& sim, MixOptions options, Rng rng);
 
   std::size_t num_relays() const { return relays_.size(); }
   const crypto::X25519Key& relay_public_key(RelayId r) const;
@@ -52,19 +52,20 @@ class MixNetwork {
   /// finishes, unless a relay on the path is down or the message is
   /// tampered/replayed (then it is silently dropped, like a real mix).
   /// All of the message's hop latencies derive from ONE next_u64 draw
-  /// on `rng` (the caller's stream). When `deliver_actor` is given,
-  /// the final delivery is scheduled FOR that actor — required on the
-  /// sharded backend, where the last hop crosses shards.
+  /// on `rng` (the caller's stream). The relay hops run as `sender`,
+  /// the final delivery as `recipient`: only the exit hop crosses
+  /// shards.
   void send(const std::vector<RelayId>& route, crypto::Bytes payload,
             std::function<void(crypto::Bytes)> deliver, Rng& rng,
-            sim::ActorId deliver_actor = sim::kExternalActor);
+            sim::ActorId sender, sim::ActorId recipient);
 
   /// Injects a raw (already onion-wrapped) message at a relay — what
   /// an adversary replaying captured traffic would do. Used by the
-  /// replay-defence tests and the attack benches. Single-shard only:
-  /// hop latencies come from the network's own stream.
+  /// replay-defence tests and the mix_tunnel example. Every hop and the
+  /// delivery run as `actor`; hop latencies come from the network's
+  /// own stream, so inject is for single-shard runs.
   void inject(RelayId relay, crypto::Bytes message,
-              std::function<void(crypto::Bytes)> deliver);
+              std::function<void(crypto::Bytes)> deliver, sim::ActorId actor);
 
   /// Failure injection: the relay is down during [crash_at,
   /// revive_at), or forever when revive_at < 0. A revived relay keeps
@@ -108,7 +109,7 @@ class MixNetwork {
   bool alive_at(const Relay& r, double t) const;
   double hop_latency(Rng& rng) const;
 
-  sim::SimulatorBackend& sim_;
+  sim::ShardedSimulator& sim_;
   MixOptions options_;
   Rng rng_;
   std::vector<Relay> relays_;

@@ -6,20 +6,16 @@
 
 namespace ppo::privacylink {
 
-MixTransport::MixTransport(sim::SimulatorBackend& sim, MixNetwork& mix,
-                           MixTransportOptions options, Rng rng,
+MixTransport::MixTransport(MixNetwork& mix, MixTransportOptions options,
+                           Rng rng,
                            std::function<bool(graph::NodeId)> is_online,
-                           std::size_t per_sender_streams)
-    : sim_(sim),
-      mix_(mix),
-      options_(options),
-      rng_(rng),
-      is_online_(std::move(is_online)) {
+                           std::size_t senders)
+    : mix_(mix), options_(options), is_online_(std::move(is_online)) {
   PPO_CHECK_MSG(options_.circuit_hops >= 1, "circuits need >= 1 hop");
   PPO_CHECK_MSG(static_cast<bool>(is_online_), "online oracle required");
-  sender_rngs_.reserve(per_sender_streams);
-  for (std::size_t v = 0; v < per_sender_streams; ++v)
-    sender_rngs_.push_back(rng_.split());
+  sender_rngs_.reserve(senders);
+  for (std::size_t v = 0; v < senders; ++v)
+    sender_rngs_.push_back(rng.split());
 }
 
 bool MixTransport::send(graph::NodeId from, graph::NodeId to,
@@ -46,17 +42,17 @@ bool MixTransport::send(graph::NodeId from, graph::NodeId to,
       payload.size() + options_.circuit_hops * kOnionLayerOverhead,
       std::memory_order_relaxed);
 
-  Rng& rng = sender_rngs_.empty() ? rng_ : sender_rngs_[from];
+  Rng& rng = sender_rngs_[from];
   const auto route = mix_.random_route(options_.circuit_hops, rng);
-  // Delivery belongs to the destination actor so the exit hop can
-  // cross shards; on sim::Simulator the actor id is inert.
+  // Relay hops run as the sender; the delivery belongs to the
+  // destination actor, so only the exit hop can cross shards.
   mix_.send(route, std::move(payload),
             [this, to, fn = std::move(on_deliver)](crypto::Bytes) {
               if (!is_online_(to)) return;  // destination went dark
               delivered_.fetch_add(1, std::memory_order_relaxed);
               fn();
             },
-            rng, static_cast<sim::ActorId>(to));
+            rng, from, to);
   return true;
 }
 

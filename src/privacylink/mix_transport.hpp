@@ -26,15 +26,13 @@ class MixTransport final : public LinkTransport {
   /// The transport shares `mix` (relay pool) across all senders;
   /// `is_online` plays the same gating role as in the ideal
   /// transport — the exit relay cannot hand the message to an
-  /// offline destination. With `per_sender_streams` > 0 (the node
-  /// count), each sender draws routes and onion nonces from its own
-  /// split stream, making every circuit a function of the sender's
-  /// send sequence alone — required for K-invariance on the sharded
-  /// backend, a no-op semantically elsewhere.
-  MixTransport(sim::SimulatorBackend& sim, MixNetwork& mix,
-               MixTransportOptions options, Rng rng,
+  /// offline destination. Each of the `senders` sender ids draws
+  /// routes and onion nonces from its own stream split off `rng`,
+  /// making every circuit a function of the sender's send sequence
+  /// alone, the same for every shard count.
+  MixTransport(MixNetwork& mix, MixTransportOptions options, Rng rng,
                std::function<bool(graph::NodeId)> is_online,
-               std::size_t per_sender_streams = 0);
+               std::size_t senders);
 
   bool send(graph::NodeId from, graph::NodeId to,
             sim::EventFn on_deliver) override;
@@ -59,12 +57,9 @@ class MixTransport final : public LinkTransport {
   }
 
  private:
-  sim::SimulatorBackend& sim_;
   MixNetwork& mix_;
   MixTransportOptions options_;
-  Rng rng_;
-  /// One split per sender when per_sender_streams was given.
-  std::vector<Rng> sender_rngs_;
+  std::vector<Rng> sender_rngs_;  // one per sender
   std::function<bool(graph::NodeId)> is_online_;
   std::atomic<std::uint64_t> sent_{0};
   std::atomic<std::uint64_t> delivered_{0};

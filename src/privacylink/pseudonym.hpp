@@ -8,7 +8,7 @@
 
 #include "common/rng.hpp"
 #include "graph/graph.hpp"
-#include "sim/simulator.hpp"
+#include "sim/types.hpp"
 
 namespace ppo::privacylink {
 

@@ -15,7 +15,7 @@
 #include "graph/graph.hpp"
 #include "privacylink/delivery_journal.hpp"
 #include "privacylink/link_transport.hpp"
-#include "sim/backend.hpp"
+#include "sim/sharded_simulator.hpp"
 
 namespace ppo::privacylink {
 
@@ -34,14 +34,12 @@ class Transport final : public LinkTransport {
   /// `is_online(v)` gates both send (source must be online) and
   /// delivery (destination must be online at arrival time).
   ///
-  /// `per_sender_streams` > 0 gives each of that many sender ids a
-  /// private latency stream split off `rng` in id order: latencies
-  /// then depend only on the sender's own send sequence, never on the
-  /// global interleaving — required for K-invariance on the sharded
-  /// backend. 0 (default) keeps the legacy shared stream bit-exactly.
-  Transport(sim::SimulatorBackend& sim, TransportOptions options, Rng rng,
-            std::function<bool(NodeId)> is_online,
-            std::size_t per_sender_streams = 0);
+  /// Each of the `senders` sender ids gets a private latency stream
+  /// split off `rng` in id order: latencies depend only on the
+  /// sender's own send sequence, never on the global interleaving, so
+  /// they are the same for every shard count.
+  Transport(sim::ShardedSimulator& sim, TransportOptions options, Rng rng,
+            std::function<bool(NodeId)> is_online, std::size_t senders);
 
   /// Sends a message from `from` to `to`; `on_deliver` runs at the
   /// arrival time iff the destination is online then. Returns false
@@ -71,10 +69,9 @@ class Transport final : public LinkTransport {
   void load_state(ckpt::Reader& r);
 
  private:
-  sim::SimulatorBackend& sim_;
+  sim::ShardedSimulator& sim_;
   TransportOptions options_;
-  Rng rng_;
-  std::vector<Rng> sender_rngs_;  // non-empty iff per-sender streams
+  std::vector<Rng> sender_rngs_;  // one per sender
   std::function<bool(NodeId)> is_online_;
   DeliveryJournal* journal_ = nullptr;
   std::atomic<std::uint64_t> sent_{0};

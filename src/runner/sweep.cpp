@@ -65,9 +65,9 @@ SweepTelemetry run_indexed(std::size_t cells, const SweepOptions& options,
               static_cast<double>(cells - done);
           std::ostringstream line;
           line << options.label << ": " << done << "/" << cells
-               << " cells done, elapsed "
+               << " tasks done, elapsed "
                << static_cast<long>(elapsed * 10.0) / 10.0 << "s, ETA "
-               << static_cast<long>(eta * 10.0) / 10.0 << "s (cell " << i
+               << static_cast<long>(eta * 10.0) / 10.0 << "s (task " << i
                << ": " << static_cast<long>(telemetry.cell_seconds[i] * 10.0) /
                               10.0
                << "s)\n";

@@ -35,8 +35,10 @@ struct SweepOptions {
   std::size_t jobs = 0;
   /// Root seed the per-cell seeds are derived from.
   std::uint64_t root_seed = 1;
-  /// When set, prints "label: k/N cells done, elapsed, ETA" lines to
-  /// `progress_stream` (default std::cerr) as cells complete.
+  /// When set, prints "label: k/N tasks done, elapsed, ETA" lines to
+  /// `progress_stream` (default std::cerr) as pool tasks complete. A
+  /// task is one run_indexed index: a cell for run_grid, one
+  /// simulation run in the alpha sweeps.
   bool progress = false;
   std::ostream* progress_stream = nullptr;
   std::string label = "sweep";

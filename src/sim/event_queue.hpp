@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "sim/backend.hpp"
+#include "sim/types.hpp"
 
 namespace ppo::sim {
 

@@ -3,18 +3,17 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "sim/restore.hpp"
 
 namespace ppo::sim {
 
 namespace {
 
-void schedule_tick(SimulatorBackend& sim, Time delay, Time period,
+void schedule_tick(ShardedSimulator& sim, Time delay, Time period,
                    ActorId actor, std::shared_ptr<PeriodicTask::State> state,
                    EventFn fn);
 
 struct Tick {
-  SimulatorBackend* sim;
+  ShardedSimulator* sim;
   Time period;
   ActorId actor;
   std::shared_ptr<PeriodicTask::State> state;
@@ -27,24 +26,20 @@ struct Tick {
   }
 };
 
-void schedule_tick(SimulatorBackend& sim, Time delay, Time period,
+void schedule_tick(ShardedSimulator& sim, Time delay, Time period,
                    ActorId actor, std::shared_ptr<PeriodicTask::State> state,
                    EventFn fn) {
   PeriodicTask::State* raw = state.get();
   const Time fire = sim.now() + delay;
-  Tick tick{&sim, period, actor, std::move(state), std::move(fn)};
-  if (actor == kExternalActor) {
-    sim.schedule_after(delay, std::move(tick));
-  } else {
-    sim.schedule_for(actor, delay, std::move(tick));
-  }
+  sim.schedule_for(actor, delay,
+                   Tick{&sim, period, actor, std::move(state), std::move(fn)});
   raw->next_fire = fire;
   raw->ticket = sim.last_ticket();
 }
 
 }  // namespace
 
-PeriodicTask PeriodicTask::start(SimulatorBackend& sim, Time phase,
+PeriodicTask PeriodicTask::start(ShardedSimulator& sim, Time phase,
                                  Time period, EventFn fn, ActorId actor) {
   PPO_CHECK_MSG(period > 0.0, "period must be positive");
   PeriodicTask task;
@@ -53,7 +48,7 @@ PeriodicTask PeriodicTask::start(SimulatorBackend& sim, Time phase,
   return task;
 }
 
-PeriodicTask PeriodicTask::restore(SimulatorBackend& sim, Time next_fire,
+PeriodicTask PeriodicTask::restore(ShardedSimulator& sim, Time next_fire,
                                    EventTicket ticket, Time period,
                                    EventFn fn, ActorId actor) {
   PPO_CHECK_MSG(period > 0.0, "period must be positive");
@@ -61,7 +56,7 @@ PeriodicTask PeriodicTask::restore(SimulatorBackend& sim, Time next_fire,
   task.state_ = std::make_shared<State>();
   task.state_->next_fire = next_fire;
   task.state_->ticket = ticket;
-  restore_event_any(sim, next_fire, ticket, actor,
+  sim.restore_event(next_fire, ticket, actor,
                     Tick{&sim, period, actor, task.state_, std::move(fn)});
   return task;
 }

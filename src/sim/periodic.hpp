@@ -1,10 +1,10 @@
-// Cancellable periodic task on top of a SimulatorBackend — used for
-// shuffle ticks and metric sampling.
+// Cancellable periodic task on top of the ShardedSimulator — used for
+// shuffle ticks and anti-entropy timers.
 #pragma once
 
 #include <memory>
 
-#include "sim/backend.hpp"
+#include "sim/sharded_simulator.hpp"
 
 namespace ppo::sim {
 
@@ -14,12 +14,10 @@ class PeriodicTask {
  public:
   PeriodicTask() = default;
 
-  /// Starts `fn` at now + `phase`, then every `period`. When `actor`
-  /// is given, every tick is scheduled for that actor — required on
-  /// the sharded backend, where a task must belong to a shard;
-  /// sim::Simulator ignores it.
-  static PeriodicTask start(SimulatorBackend& sim, Time phase, Time period,
-                            EventFn fn, ActorId actor = kExternalActor);
+  /// Starts `fn` at now + `phase`, then every `period`. Every tick is
+  /// scheduled for `actor`, so it runs on that actor's shard.
+  static PeriodicTask start(ShardedSimulator& sim, Time phase, Time period,
+                            EventFn fn, ActorId actor);
 
   bool active() const { return state_ && state_->active; }
   void cancel();
@@ -27,11 +25,10 @@ class PeriodicTask {
   /// Rebuilds a task whose next tick was pending when a checkpoint was
   /// taken: re-inserts the tick at its recorded (next_fire, ticket)
   /// position without drawing anything; the chain then continues
-  /// normally (each tick re-schedules the next). Only meaningful on
-  /// backends with restore support (sim/restore.hpp).
-  static PeriodicTask restore(SimulatorBackend& sim, Time next_fire,
+  /// normally (each tick re-schedules the next).
+  static PeriodicTask restore(ShardedSimulator& sim, Time next_fire,
                               EventTicket ticket, Time period, EventFn fn,
-                              ActorId actor = kExternalActor);
+                              ActorId actor);
 
   /// When a checkpoint is taken between ticks, these name the pending
   /// tick: its absolute fire time and its scheduling ticket.

@@ -89,8 +89,8 @@ Time ShardedSimulator::now() const {
 void ShardedSimulator::schedule_at(Time t, EventFn fn) {
   ExecContext* ctx = tls_ctx;
   PPO_CHECK_MSG(ctx != nullptr && ctx->sim == this,
-                "outside event context the sharded backend needs an explicit "
-                "actor: use schedule_at_for / schedule_for");
+                "outside event context there is no actor to schedule for: "
+                "use schedule_at_for / schedule_for");
   schedule_at_for(ctx->actor, t, std::move(fn));
 }
 
@@ -126,6 +126,16 @@ void ShardedSimulator::schedule_at_for(ActorId actor, Time t, EventFn fn) {
   }
 }
 
+void ShardedSimulator::schedule_after(Time delay, EventFn fn) {
+  PPO_CHECK_MSG(delay >= 0.0, "negative delay");
+  schedule_at(now() + delay, std::move(fn));
+}
+
+void ShardedSimulator::schedule_for(ActorId actor, Time delay, EventFn fn) {
+  PPO_CHECK_MSG(delay >= 0.0, "negative delay");
+  schedule_at_for(actor, now() + delay, std::move(fn));
+}
+
 EventTicket ShardedSimulator::last_ticket() const {
   const ExecContext* ctx = tls_ctx;
   return (ctx != nullptr && ctx->sim == this) ? ctx->last_ticket
@@ -147,9 +157,8 @@ void ShardedSimulator::restore_state(
   set_sim_time_context(now_);
 }
 
-void ShardedSimulator::restore_event(Time t, ActorId origin,
-                                     std::uint64_t seq, ActorId target,
-                                     EventFn fn) {
+void ShardedSimulator::restore_event(Time t, EventTicket ticket,
+                                     ActorId target, EventFn fn) {
   PPO_CHECK_MSG(!in_window_, "restore_event during a window");
   // Events exactly at the checkpoint time are legal here: the sharded
   // run_until is exclusive, so an event at `now` is still pending.
@@ -157,7 +166,8 @@ void ShardedSimulator::restore_event(Time t, ActorId origin,
                 "restored events cannot lie before the checkpoint");
   PPO_CHECK_MSG(target < options_.num_actors, "actor out of range");
   PPO_CHECK_MSG(static_cast<bool>(fn), "event callback must be callable");
-  queues_[shard_of(target)].push(Event{t, origin, seq, target, std::move(fn)});
+  queues_[shard_of(target)].push(
+      Event{t, ticket.origin, ticket.seq, target, std::move(fn)});
 }
 
 void ShardedSimulator::run_shard_window(std::size_t shard, Time window_end) {
@@ -233,6 +243,16 @@ std::size_t ShardedSimulator::run_until(Time end) {
     now_ = window_end;
     set_sim_time_context(now_);
     if (barrier_hook_) barrier_hook_();
+  }
+  return static_cast<std::size_t>(events_executed() - before);
+}
+
+std::size_t ShardedSimulator::run_all(std::size_t max_events) {
+  const std::uint64_t before = events_executed();
+  while (pending() > 0) {
+    PPO_CHECK_MSG(events_executed() - before < max_events,
+                  "event budget exhausted before quiescence");
+    run_until(now_ + options_.lookahead);
   }
   return static_cast<std::size_t>(events_executed() - before);
 }

@@ -1,7 +1,13 @@
-// Deterministically-parallel simulation backend: actors (overlay
-// nodes) are partitioned into K shards by a stable hash of their id,
-// each shard owns a private event queue, and the shards execute in
-// lockstep windows of one lookahead interval on a runner::ThreadPool.
+// Discrete-event simulation core — the paper's "custom event-based
+// simulation environment", where events occur at arbitrary times
+// within a shuffling period. Actors (overlay nodes) are partitioned
+// into K shards by a stable hash of their id, each shard owns a private
+// event queue, and the shards execute in lockstep windows of one
+// lookahead interval on a runner::ThreadPool. K = 1 is the serial case:
+// one queue on the caller's thread, which is all that work without an
+// overlay (static baselines, the dissemination flood, lower-layer
+// tests) needs — nothing crosses a shard, so the window length
+// constrains nothing there.
 //
 // Determinism contract (the whole point): for a fixed root seed the
 // simulation trajectory is BIT-IDENTICAL for every shard count K,
@@ -29,10 +35,9 @@
 // origins are ordered by origin id, not by arrival.
 //
 // run_until(end) is EXCLUSIVE of events at exactly `end` (they run in
-// the next call), unlike sim::Simulator's inclusive run_until:
-// a window pops strictly-less-than its end so that an event at a
-// barrier executes in the next window no matter which side of the
-// mailbox it arrived on.
+// the next call): a window pops strictly-less-than its end so that an
+// event at a barrier executes in the next window no matter which side
+// of the mailbox it arrived on.
 #pragma once
 
 #include <cstdint>
@@ -41,8 +46,8 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "sim/backend.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/types.hpp"
 
 namespace ppo::runner {
 class ThreadPool;
@@ -50,7 +55,7 @@ class ThreadPool;
 
 namespace ppo::sim {
 
-class ShardedSimulator final : public SimulatorBackend {
+class ShardedSimulator {
  public:
   struct Options {
     /// Shard (and thread) count: shard 0 runs on the caller's thread,
@@ -83,15 +88,27 @@ class ShardedSimulator final : public SimulatorBackend {
   };
 
   explicit ShardedSimulator(Options options);
-  ~ShardedSimulator() override;
+  ~ShardedSimulator();
 
   ShardedSimulator(const ShardedSimulator&) = delete;
   ShardedSimulator& operator=(const ShardedSimulator&) = delete;
 
-  // --- SimulatorBackend ---
-  Time now() const override;
-  void schedule_at(Time t, EventFn fn) override;
-  void schedule_at_for(ActorId actor, Time t, EventFn fn) override;
+  /// Current virtual time: the executing event's timestamp while an
+  /// event runs, the window floor otherwise.
+  Time now() const;
+
+  /// Schedules `fn` at absolute time `t` (>= now) for the actor
+  /// currently executing. Outside event context there is no such
+  /// actor and this throws: use schedule_at_for.
+  void schedule_at(Time t, EventFn fn);
+
+  /// Schedules `fn` at absolute time `t` (>= now) on `actor`'s shard;
+  /// the event runs as `actor`.
+  void schedule_at_for(ActorId actor, Time t, EventFn fn);
+
+  /// The same, `delay` (>= 0) time units from now.
+  void schedule_after(Time delay, EventFn fn);
+  void schedule_for(ActorId actor, Time delay, EventFn fn);
 
   /// Runs lockstep windows until `end` (exclusive of events exactly at
   /// `end`); the clock advances to `end`. Returns events executed.
@@ -99,6 +116,14 @@ class ShardedSimulator final : public SimulatorBackend {
   /// propagates only after every shard of that window has stopped; the
   /// simulator is then unusable.
   std::size_t run_until(Time end);
+
+  /// Runs windows until nothing is pending; returns events executed.
+  /// Throws once `max_events` have run with events still pending. The
+  /// budget is checked at window barriers, so the last window may
+  /// overshoot it.
+  std::size_t run_all(std::size_t max_events = kDefaultEventBudget);
+
+  static constexpr std::size_t kDefaultEventBudget = 500'000'000;
 
   std::size_t num_shards() const { return queues_.size(); }
   std::size_t num_actors() const { return options_.num_actors; }
@@ -135,7 +160,12 @@ class ShardedSimulator final : public SimulatorBackend {
   /// Tickets carry (origin actor, per-origin seq) — the K-invariant
   /// half of the canonical order, so a checkpoint written at shard
   /// count K restores at any K' >= 1.
-  EventTicket last_ticket() const override;
+  ///
+  /// last_ticket() is the ticket of the most recent schedule_* call
+  /// made from the calling context (per shard worker). Checkpoint-aware
+  /// components query it right after scheduling an event they intend
+  /// to journal.
+  EventTicket last_ticket() const;
   const std::vector<std::uint64_t>& actor_seqs() const { return actor_seq_; }
   std::uint64_t external_seq() const { return external_seq_; }
 
@@ -152,8 +182,8 @@ class ShardedSimulator final : public SimulatorBackend {
   /// *current* shard count — the step that makes checkpoints
   /// K-portable. Bypasses window/lookahead checks (restore runs
   /// strictly between windows).
-  void restore_event(Time t, ActorId origin, std::uint64_t seq,
-                     ActorId target, EventFn fn);
+  void restore_event(Time t, EventTicket ticket, ActorId target,
+                     EventFn fn);
 
  private:
   void run_shard_window(std::size_t shard, Time window_end);

@@ -245,8 +245,6 @@ ServiceModeReport run_service_mode(const ServiceModeOptions& opt) {
     options.params.shuffle_max_retries = defaults.max_retries;
     fault::FaultPlan plan;
     plan.drop_probability = opt.loss;
-    // Per-link fate streams make the fault draws K-invariant.
-    plan.per_link_streams = true;
     options.link_faults = plan;
   }
   if (opt.adversary_fraction > 0.0)

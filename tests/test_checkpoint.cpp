@@ -218,8 +218,8 @@ TEST(CheckpointFile, CorruptionMatrix) {
 }
 
 // Version 1 carried the serial backend's payloads and the pseudonym
-// availability bit; this build must refuse such a file before parsing
-// a payload byte.
+// availability bit, version 2 the shared RNG streams; this build must
+// refuse every older file before parsing a payload byte.
 TEST(CheckpointFile, RejectsVersionOneFile) {
   const std::string dir = temp_dir("ckpt_v1");
   const std::string path = write_sample(dir, 0);
@@ -229,17 +229,21 @@ TEST(CheckpointFile, RejectsVersionOneFile) {
     bytes.assign(std::istreambuf_iterator<char>(in),
                  std::istreambuf_iterator<char>());
   }
-  ASSERT_EQ(ckpt::kVersion, 2u);
-  bytes[4] = 1;  // little-endian u32 version field after the magic
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  ASSERT_GE(ckpt::kVersion, 2u);
+  for (std::uint32_t old = 1; old < ckpt::kVersion; ++old) {
+    SCOPED_TRACE("version " + std::to_string(old));
+    bytes[4] = static_cast<char>(old);  // little-endian u32 after the magic
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    const ckpt::LoadResult res = ckpt::load_file(path);
+    EXPECT_EQ(res.status, ckpt::Status::kBadVersion);
+    EXPECT_NE(res.message.find("format version " + std::to_string(old)),
+              std::string::npos)
+        << res.message;
+    EXPECT_TRUE(res.payload.empty());
   }
-  const ckpt::LoadResult res = ckpt::load_file(path);
-  EXPECT_EQ(res.status, ckpt::Status::kBadVersion);
-  EXPECT_NE(res.message.find("format version 1"), std::string::npos)
-      << res.message;
-  EXPECT_TRUE(res.payload.empty());
 }
 
 TEST(CheckpointFile, CompatGateDistinguishesMismatches) {

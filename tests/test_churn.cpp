@@ -4,7 +4,7 @@
 #include "churn/churn_driver.hpp"
 #include "churn/churn_model.hpp"
 #include "common/stats.hpp"
-#include "sim/simulator.hpp"
+#include "sim/sharded_simulator.hpp"
 
 namespace ppo::churn {
 namespace {
@@ -69,8 +69,14 @@ TEST(TraceChurn, ReplaysCyclically) {
   EXPECT_DOUBLE_EQ(model.mean_offline_time(), 5.0);
 }
 
+/// One shard over `nodes` actors. Churn events never cross actors, so
+/// the window length is free.
+sim::ShardedSimulator::Options one_shard(std::size_t nodes) {
+  return {.num_actors = nodes, .lookahead = 1.0};
+}
+
 TEST(ChurnDriver, StationaryFractionNearAlpha) {
-  sim::Simulator sim;
+  sim::ShardedSimulator sim(one_shard(4000));
   const auto model = ExponentialChurn::from_availability(0.25, 30.0);
   ChurnDriver driver(sim, 4000, model, Rng(5));
   driver.start({});
@@ -85,7 +91,7 @@ TEST(ChurnDriver, StationaryFractionNearAlpha) {
 }
 
 TEST(ChurnDriver, CallbacksTrackMask) {
-  sim::Simulator sim;
+  sim::ShardedSimulator sim(one_shard(200));
   const auto model = ExponentialChurn::from_availability(0.5, 5.0);
   ChurnDriver driver(sim, 200, model, Rng(6));
   std::size_t transitions = 0;
@@ -106,7 +112,7 @@ TEST(ChurnDriver, CallbacksTrackMask) {
 }
 
 TEST(ChurnDriver, StartTwiceThrows) {
-  sim::Simulator sim;
+  sim::ShardedSimulator sim(one_shard(10));
   const auto model = ExponentialChurn::from_availability(0.5, 5.0);
   ChurnDriver driver(sim, 10, model, Rng(7));
   driver.start({});
@@ -114,7 +120,7 @@ TEST(ChurnDriver, StartTwiceThrows) {
 }
 
 TEST(ChurnDriver, PermanentFailureSticks) {
-  sim::Simulator sim;
+  sim::ShardedSimulator sim(one_shard(50));
   const auto model = ExponentialChurn::from_availability(0.9, 2.0);
   ChurnDriver driver(sim, 50, model, Rng(8));
   driver.start({});
@@ -130,7 +136,7 @@ TEST(ChurnDriver, PermanentFailureSticks) {
 
 TEST(ChurnDriver, DeterministicUnderSeed) {
   auto run = [](std::uint64_t seed) {
-    sim::Simulator sim;
+    sim::ShardedSimulator sim(one_shard(100));
     const auto model = ExponentialChurn::from_availability(0.5, 10.0);
     ChurnDriver driver(sim, 100, model, Rng(seed));
     driver.start({});
@@ -141,6 +147,40 @@ TEST(ChurnDriver, DeterministicUnderSeed) {
   };
   EXPECT_EQ(run(9), run(9));
   EXPECT_NE(run(9), run(10));
+}
+
+// Each node draws from its own stream and each transition is an event
+// of its own node, so the online masks cannot depend on how nodes are
+// spread over shards. This is what makes the static baselines the same
+// at every K.
+TEST(ChurnDriver, OnlineMasksAreShardCountInvariant) {
+  constexpr std::size_t kNodes = 500;
+  const auto model = ExponentialChurn::from_availability(0.5, 10.0);
+  const auto masks_at = [&model](std::size_t shards) {
+    sim::ShardedSimulator sim(
+        {.shards = shards, .num_actors = kNodes, .lookahead = 1.0});
+    ChurnDriver driver(sim, kNodes, model, Rng(11));
+    driver.start({});
+    // A few crashes and revivals, each scheduled for its own node.
+    for (NodeId v = 0; v < kNodes; v += 37) {
+      sim.schedule_at_for(v, 10.0 + v % 7,
+                          [&driver, v] { driver.fail_permanently(v); });
+      sim.schedule_at_for(v, 40.0 + v % 11,
+                          [&driver, v] { driver.revive(v); });
+    }
+    std::vector<std::vector<bool>> masks;
+    for (double t = 5.0; t <= 100.0; t += 5.0) {
+      sim.run_until(t);
+      std::vector<bool> mask;
+      for (NodeId v = 0; v < kNodes; ++v) mask.push_back(driver.is_online(v));
+      masks.push_back(std::move(mask));
+    }
+    return masks;
+  };
+  const auto reference = masks_at(1);
+  ASSERT_EQ(reference.size(), 20u);
+  EXPECT_EQ(masks_at(2), reference);
+  EXPECT_EQ(masks_at(4), reference);
 }
 
 }  // namespace

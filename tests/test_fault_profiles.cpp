@@ -11,7 +11,7 @@
 #include "common/check.hpp"
 #include "fault/faulty_transport.hpp"
 #include "privacylink/transport.hpp"
-#include "sim/simulator.hpp"
+#include "sim/sharded_simulator.hpp"
 
 namespace ppo::fault {
 namespace {
@@ -19,15 +19,16 @@ namespace {
 using privacylink::NodeId;
 
 struct Fixture {
-  sim::Simulator sim;
+  sim::ShardedSimulator sim;
   std::vector<char> online;
   privacylink::Transport inner;
   FaultyTransport faulty;
 
   Fixture(std::size_t n, FaultPlan plan)
-      : online(n, 1),
+      : sim({.num_actors = n}),
+        online(n, 1),
         inner(sim, {.min_latency = 0.01, .max_latency = 0.01}, Rng(7),
-              [this](NodeId v) { return online[v] != 0; }),
+              [this](NodeId v) { return online[v] != 0; }, n),
         faulty(sim, inner, plan, n) {}
 };
 
@@ -171,8 +172,7 @@ TEST(FaultProfiles, EmpiricalLossTracksBadState) {
 TEST(FaultProfiles, ModerateLossIsStatisticallyPlausible) {
   // Pinned bad with 40% extra loss: over 2000 sends the delivered
   // fraction concentrates near 0.6.
-  FaultPlan plan = ge_plan(1.0, 0.0, 0.0, 0.4, 5000.0);
-  plan.per_link_streams = true;  // sharded-compatible stream form
+  const FaultPlan plan = ge_plan(1.0, 0.0, 0.0, 0.4, 5000.0);
   Fixture fx(2, plan);
 
   std::size_t delivered = 0;

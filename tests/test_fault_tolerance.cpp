@@ -48,7 +48,6 @@ fault::FaultPlan loss_plan(double loss, std::uint64_t seed) {
   fault::FaultPlan plan;
   plan.drop_probability = loss;
   plan.seed = seed;
-  plan.per_link_streams = true;
   return plan;
 }
 
@@ -86,7 +85,6 @@ TEST(FaultTolerance, ZeroFaultPlanIsBitIdenticalToBaseline) {
   OverlayScenario idle = base;
   fault::FaultPlan far_future;
   far_future.link_outages.push_back({1e9, 1e9 + 1.0});
-  far_future.per_link_streams = true;
   idle.faults = far_future;  // enabled() == true: wraps, never fires
   const auto with_idle = run_overlay(ring, idle);
   expect_same_run(bare, with_idle);

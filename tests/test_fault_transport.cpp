@@ -10,7 +10,7 @@
 #include "fault/fault_injector.hpp"
 #include "fault/faulty_transport.hpp"
 #include "privacylink/transport.hpp"
-#include "sim/simulator.hpp"
+#include "sim/sharded_simulator.hpp"
 
 namespace ppo::fault {
 namespace {
@@ -18,7 +18,7 @@ namespace {
 using privacylink::NodeId;
 
 struct Fixture {
-  sim::Simulator sim;
+  sim::ShardedSimulator sim;
   std::vector<char> online;
   privacylink::Transport inner;
   FaultyTransport faulty;
@@ -26,9 +26,10 @@ struct Fixture {
   Fixture(std::size_t n, FaultPlan plan,
           privacylink::TransportOptions opts = {.min_latency = 1.0,
                                                 .max_latency = 1.0})
-      : online(n, 1),
+      : sim({.num_actors = n}),
+        online(n, 1),
         inner(sim, opts, Rng(7),
-              [this](NodeId v) { return online[v] != 0; }),
+              [this](NodeId v) { return online[v] != 0; }, n),
         faulty(sim, inner, plan, n) {}
 };
 
@@ -65,6 +66,11 @@ TEST(FaultPlan, ValidateRejectsNonsense) {
   jitter.jitter_min = 2.0;
   jitter.jitter_max = 1.0;
   EXPECT_THROW(jitter.validate(), CheckError);
+
+  // Fate streams are per link; there is no shared-stream mode to ask for.
+  FaultPlan shared_stream;
+  shared_stream.per_link_streams = false;
+  EXPECT_THROW(shared_stream.validate(), CheckError);
 }
 
 TEST(FaultyTransport, InertPlanForwardsVerbatim) {
@@ -93,19 +99,19 @@ TEST(FaultyTransport, EnabledButIdlePlanMatchesBareTransport) {
 
   std::vector<double> bare_times;
   {
-    sim::Simulator sim;
+    sim::ShardedSimulator sim({.num_actors = 2});
     privacylink::Transport t(sim, {.min_latency = 0.1, .max_latency = 0.9},
-                             Rng(7), [](NodeId) { return true; });
+                             Rng(7), [](NodeId) { return true; }, 2);
     for (int i = 0; i < 20; ++i)
       t.send(0, 1, [&] { bare_times.push_back(sim.now()); });
     sim.run_all();
   }
   std::vector<double> wrapped_times;
   {
-    sim::Simulator sim;
+    sim::ShardedSimulator sim({.num_actors = 2});
     privacylink::Transport t(sim, {.min_latency = 0.1, .max_latency = 0.9},
-                             Rng(7), [](NodeId) { return true; });
-    FaultyTransport faulty(sim, t, plan);
+                             Rng(7), [](NodeId) { return true; }, 2);
+    FaultyTransport faulty(sim, t, plan, 2);
     for (int i = 0; i < 20; ++i)
       faulty.send(0, 1, [&] { wrapped_times.push_back(sim.now()); });
     sim.run_all();
@@ -215,10 +221,10 @@ TEST(FaultyTransport, OutageWindowDropsOnlyInside) {
   plan.link_outages.push_back({4.0, 6.0});
   Fixture fx(2, plan);
   int deliveries = 0;
-  fx.sim.schedule_at(5.0, [&] {  // inside the window
+  fx.sim.schedule_at_for(0, 5.0, [&] {  // inside the window
     fx.faulty.send(0, 1, [&] { ++deliveries; });
   });
-  fx.sim.schedule_at(7.0, [&] {  // after it
+  fx.sim.schedule_at_for(0, 7.0, [&] {  // after it
     fx.faulty.send(0, 1, [&] { ++deliveries; });
   });
   fx.sim.run_all();
@@ -235,7 +241,7 @@ TEST(FaultyTransport, PartitionBlocksOnlyCrossTraffic) {
   fx.faulty.send(2, 1, [&] { ++cross; });   // outside -> group: dropped
   fx.faulty.send(0, 1, [&] { ++within; });  // inside the group: flows
   fx.faulty.send(2, 3, [&] { ++within; });  // outside the group: flows
-  fx.sim.schedule_at(11.0, [&] {            // split healed
+  fx.sim.schedule_at_for(0, 11.0, [&] {     // split healed
     fx.faulty.send(0, 2, [&] { ++later; });
   });
   fx.sim.run_all();
@@ -266,7 +272,7 @@ TEST(FaultyTransport, ReorderLetsLaterMessagesOvertake) {
   Fixture fx(2, plan);
   std::vector<int> order;
   fx.faulty.send(0, 1, [&] { order.push_back(1); });
-  fx.sim.schedule_at(2.0, [&] {
+  fx.sim.schedule_at_for(0, 2.0, [&] {
     // Bypass the plan for the second message so it keeps its nominal
     // latency and overtakes the held-back first one.
     fx.inner.send(0, 1, [&] { order.push_back(2); });
@@ -360,52 +366,47 @@ TEST(FaultyTransport, LaterOverrideForSameLinkWins) {
 
 /// A plan with overrides present but zero-fault everywhere must be
 /// bit-identical to the bare transport — the zero-fault guarantee
-/// extends to the new knobs, in both stream modes.
+/// extends to the new knobs.
 TEST(FaultyTransport, ZeroFaultOverridesKeepBitIdentity) {
-  for (const bool per_link : {false, true}) {
-    FaultPlan plan;
-    plan.link_drop_overrides.push_back({0, 1, 0.0});
-    plan.per_link_streams = per_link;
+  FaultPlan plan;
+  plan.link_drop_overrides.push_back({0, 1, 0.0});
 
-    std::vector<double> bare_times;
-    {
-      sim::Simulator sim;
-      privacylink::Transport t(sim, {.min_latency = 0.1, .max_latency = 0.9},
-                               Rng(7), [](NodeId) { return true; });
-      for (int i = 0; i < 20; ++i)
-        t.send(0, 1, [&] { bare_times.push_back(sim.now()); });
-      sim.run_all();
-    }
-    std::vector<double> wrapped_times;
-    {
-      sim::Simulator sim;
-      privacylink::Transport t(sim, {.min_latency = 0.1, .max_latency = 0.9},
-                               Rng(7), [](NodeId) { return true; });
-      FaultyTransport faulty(sim, t, plan, /*num_nodes=*/2);
-      for (int i = 0; i < 20; ++i)
-        faulty.send(0, 1, [&] { wrapped_times.push_back(sim.now()); });
-      sim.run_all();
-    }
-    EXPECT_EQ(bare_times, wrapped_times) << "per_link_streams=" << per_link;
+  std::vector<double> bare_times;
+  {
+    sim::ShardedSimulator sim({.num_actors = 2});
+    privacylink::Transport t(sim, {.min_latency = 0.1, .max_latency = 0.9},
+                             Rng(7), [](NodeId) { return true; }, 2);
+    for (int i = 0; i < 20; ++i)
+      t.send(0, 1, [&] { bare_times.push_back(sim.now()); });
+    sim.run_all();
   }
+  std::vector<double> wrapped_times;
+  {
+    sim::ShardedSimulator sim({.num_actors = 2});
+    privacylink::Transport t(sim, {.min_latency = 0.1, .max_latency = 0.9},
+                             Rng(7), [](NodeId) { return true; }, 2);
+    FaultyTransport faulty(sim, t, plan, /*num_nodes=*/2);
+    for (int i = 0; i < 20; ++i)
+      faulty.send(0, 1, [&] { wrapped_times.push_back(sim.now()); });
+    sim.run_all();
+  }
+  EXPECT_EQ(bare_times, wrapped_times);
 }
 
 TEST(FaultyTransport, PerLinkStreamsNeedTheNodeCount) {
   FaultPlan plan;
   plan.drop_probability = 0.5;
-  plan.per_link_streams = true;
-  sim::Simulator sim;
-  privacylink::Transport t(sim, {}, Rng(7), [](NodeId) { return true; });
-  EXPECT_THROW(FaultyTransport(sim, t, plan), CheckError);
+  sim::ShardedSimulator sim({.num_actors = 2});
+  privacylink::Transport t(sim, {}, Rng(7), [](NodeId) { return true; }, 2);
+  EXPECT_THROW(FaultyTransport(sim, t, plan, 0), CheckError);
 }
 
 /// Per-link fate streams depend only on a link's own traffic: traffic
 /// on OTHER links must not shift a link's fault pattern (the property
-/// the sharded backend needs).
+/// K-invariance needs).
 TEST(FaultyTransport, PerLinkStreamsIsolateLinks) {
   FaultPlan plan;
   plan.drop_probability = 0.4;
-  plan.per_link_streams = true;
   plan.seed = 99;
 
   const auto deliveries_on_01 = [&plan](bool extra_traffic) {
@@ -450,7 +451,7 @@ TEST(FaultStream, CrashMaterializationIsDeterministicAndSorted) {
 }
 
 TEST(FaultInjector, NodeCrashesDriveTheHooks) {
-  sim::Simulator sim;
+  sim::ShardedSimulator sim({.num_actors = 8});
   std::vector<std::pair<double, graph::NodeId>> crashed, revived;
   FaultInjector::Hooks hooks;
   hooks.fail_node = [&](graph::NodeId v) { crashed.emplace_back(sim.now(), v); };
@@ -472,7 +473,7 @@ TEST(FaultInjector, NodeCrashesDriveTheHooks) {
 }
 
 TEST(FaultInjector, NodeCrashesRequireTheHooks) {
-  sim::Simulator sim;
+  sim::ShardedSimulator sim({.num_actors = 2});
   std::vector<NodeCrashEvent> events{{1, 2.0, -1.0}};
   EXPECT_THROW(FaultInjector(sim, {}, events), CheckError);
 }

@@ -6,13 +6,12 @@
 #include "churn/churn_model.hpp"
 #include "graph/generators.hpp"
 #include "overlay/sharded_service.hpp"
-#include "sim/simulator.hpp"
 
 namespace ppo::churn {
 namespace {
 
 TEST(HeterogeneousChurn, PerNodeAvailabilityRespected) {
-  sim::Simulator sim;
+  sim::ShardedSimulator sim({.num_actors = 600, .lookahead = 1.0});
   const auto stable = ExponentialChurn::from_availability(0.9, 10.0);
   const auto mobile = ExponentialChurn::from_availability(0.1, 10.0);
   // First 300 stable, remaining 300 mobile.
@@ -30,30 +29,9 @@ TEST(HeterogeneousChurn, PerNodeAvailabilityRespected) {
 }
 
 TEST(HeterogeneousChurn, NullModelRejected) {
-  sim::Simulator sim;
+  sim::ShardedSimulator sim({.num_actors = 3});
   std::vector<const ChurnModel*> models(3, nullptr);
   EXPECT_THROW(ChurnDriver(sim, std::move(models), Rng(1)), CheckError);
-}
-
-TEST(HeterogeneousChurn, AddNodeInheritsOrOverrides) {
-  sim::Simulator sim;
-  const auto stable = ExponentialChurn::from_availability(0.95, 5.0);
-  const auto mobile = ExponentialChurn::from_availability(0.05, 5.0);
-  ChurnDriver driver(sim, {&stable, &stable}, Rng(2));
-  driver.start({});
-  const NodeId inherited = driver.add_node();          // stable
-  const NodeId overridden = driver.add_node(&mobile);  // mobile
-  sim.run_until(300.0);
-  // Crude behavioural check: over many samples the mobile joiner is
-  // online far less often.
-  std::size_t inherited_online = 0, overridden_online = 0;
-  for (int s = 0; s < 100; ++s) {
-    sim.run_until(sim.now() + 2.0);
-    inherited_online += driver.is_online(inherited);
-    overridden_online += driver.is_online(overridden);
-  }
-  EXPECT_GT(inherited_online, 75u);
-  EXPECT_LT(overridden_online, 25u);
 }
 
 TEST(HeterogeneousChurn, OverlayServiceSupportsMixedPopulations) {

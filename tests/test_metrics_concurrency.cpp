@@ -65,11 +65,19 @@ TEST(MetricsConcurrency, StreamingObservationsUnderScrape) {
   constexpr int kObservations = 4000;
   std::atomic<bool> done{false};
 
+  std::uint64_t scrapes = 0;
+  std::uint64_t count_mismatches = 0;
   std::thread scraper([&] {
     while (!done.load(std::memory_order_acquire)) {
       const auto snap = registry.snapshot();
       for (const auto& [key, hist] : snap.streaming) {
         (void)key;
+        ++scrapes;
+        // The count is exactly the bucket mass: a count ahead of the
+        // buckets would send quantile() past the last bucket.
+        std::uint64_t mass = 0;
+        for (const std::uint64_t b : hist.buckets) mass += b;
+        if (hist.count != mass) ++count_mismatches;
         // A torn snapshot could show quantiles wildly outside the
         // observed range; the lock-free buckets must never do that.
         if (hist.count > 0) {
@@ -91,6 +99,7 @@ TEST(MetricsConcurrency, StreamingObservationsUnderScrape) {
   for (auto& t : writers) t.join();
   done.store(true, std::memory_order_release);
   scraper.join();
+  EXPECT_EQ(count_mismatches, 0u) << "of " << scrapes << " scrapes";
 
   const auto snap = registry.snapshot();
   const auto& hist = snap.streaming.at("latency_seconds");

@@ -2,20 +2,25 @@
 #include <gtest/gtest.h>
 
 #include "privacylink/mix_network.hpp"
-#include "sim/simulator.hpp"
+#include "sim/sharded_simulator.hpp"
 
 namespace ppo::privacylink {
 namespace {
 
+// One shard; messages go from actor 0 to actor 1.
+constexpr sim::ActorId kFrom = 0;
+constexpr sim::ActorId kTo = 1;
+
 TEST(MixNetwork, DeliversThroughThreeHops) {
-  sim::Simulator sim;
+  sim::ShardedSimulator sim({.num_actors = 2});
   MixNetwork mix(sim, {.num_relays = 8}, Rng(1));
   Rng rng(2);
 
   const auto route = mix.random_route(3, rng);
   const crypto::Bytes payload = crypto::to_bytes("hello through the mix");
   crypto::Bytes got;
-  mix.send(route, payload, [&](crypto::Bytes p) { got = std::move(p); }, rng);
+  mix.send(route, payload, [&](crypto::Bytes p) { got = std::move(p); }, rng,
+           kFrom, kTo);
   sim.run_all();
   EXPECT_EQ(got, payload);
   EXPECT_EQ(mix.messages_forwarded(), 3u);
@@ -23,7 +28,7 @@ TEST(MixNetwork, DeliversThroughThreeHops) {
 }
 
 TEST(MixNetwork, LatencyScalesWithHops) {
-  sim::Simulator sim;
+  sim::ShardedSimulator sim({.num_actors = 2});
   MixOptions opts;
   opts.num_relays = 10;
   opts.min_hop_latency = opts.max_hop_latency = 0.01;
@@ -32,24 +37,25 @@ TEST(MixNetwork, LatencyScalesWithHops) {
 
   double t1 = 0, t5 = 0;
   mix.send(mix.random_route(1, rng), crypto::to_bytes("a"),
-           [&](crypto::Bytes) { t1 = sim.now(); }, rng);
+           [&](crypto::Bytes) { t1 = sim.now(); }, rng, kFrom, kTo);
   sim.run_all();
+  const double sent = sim.now();
   mix.send(mix.random_route(5, rng), crypto::to_bytes("b"),
-           [&](crypto::Bytes) { t5 = sim.now() - t1; }, rng);
+           [&](crypto::Bytes) { t5 = sim.now() - sent; }, rng, kFrom, kTo);
   sim.run_all();
   EXPECT_NEAR(t1, 0.02, 1e-9);       // entry hop + exit delivery
   EXPECT_NEAR(t5, 0.06, 1e-9);       // 5 relay hops + delivery
 }
 
 TEST(MixNetwork, DeadRelayDropsTraffic) {
-  sim::Simulator sim;
+  sim::ShardedSimulator sim({.num_actors = 2});
   MixNetwork mix(sim, {.num_relays = 4}, Rng(5));
   Rng rng(6);
   const std::vector<RelayId> route{0, 1, 2};
   mix.schedule_crash(1, 0.0);  // down from the start, never revived
   bool delivered = false;
   mix.send(route, crypto::to_bytes("x"),
-           [&](crypto::Bytes) { delivered = true; }, rng);
+           [&](crypto::Bytes) { delivered = true; }, rng, kFrom, kTo);
   sim.run_all();
   EXPECT_FALSE(delivered);
   EXPECT_EQ(mix.messages_dropped(), 1u);
@@ -58,7 +64,7 @@ TEST(MixNetwork, DeadRelayDropsTraffic) {
 }
 
 TEST(MixNetwork, RevivedRelayForwardsAgainWithSameIdentity) {
-  sim::Simulator sim;
+  sim::ShardedSimulator sim({.num_actors = 2});
   MixNetwork mix(sim, {.num_relays = 4}, Rng(5));
   Rng rng(6);
   const std::vector<RelayId> route{0, 1, 2};
@@ -68,7 +74,7 @@ TEST(MixNetwork, RevivedRelayForwardsAgainWithSameIdentity) {
   EXPECT_EQ(mix.live_relay_count(), 3u);
   bool delivered = false;
   mix.send(route, crypto::to_bytes("x"),
-           [&](crypto::Bytes) { delivered = true; }, rng);
+           [&](crypto::Bytes) { delivered = true; }, rng, kFrom, kTo);
   sim.run_all();
   EXPECT_FALSE(delivered);
   EXPECT_FALSE(mix.relay_alive(1));
@@ -80,13 +86,13 @@ TEST(MixNetwork, RevivedRelayForwardsAgainWithSameIdentity) {
   // so senders can keep using the published key.
   EXPECT_EQ(mix.relay_public_key(1), key_before);
   mix.send(route, crypto::to_bytes("y"),
-           [&](crypto::Bytes) { delivered = true; }, rng);
+           [&](crypto::Bytes) { delivered = true; }, rng, kFrom, kTo);
   sim.run_all();
   EXPECT_TRUE(delivered);
 }
 
 TEST(MixNetwork, RandomRouteAvoidsDeadRelays) {
-  sim::Simulator sim;
+  sim::ShardedSimulator sim({.num_actors = 2});
   MixNetwork mix(sim, {.num_relays = 5}, Rng(7));
   Rng rng(8);
   mix.schedule_crash(0, 0.0);
@@ -100,15 +106,17 @@ TEST(MixNetwork, RandomRouteAvoidsDeadRelays) {
 }
 
 TEST(MixNetwork, FreshWrappingsOfSamePayloadBothPass) {
-  sim::Simulator sim;
+  sim::ShardedSimulator sim({.num_actors = 2});
   MixNetwork mix(sim, {.num_relays = 3}, Rng(9));
   Rng rng(10);
   const std::vector<RelayId> route{0, 1};
 
   int delivered = 0;
   const crypto::Bytes payload = crypto::to_bytes("again");
-  mix.send(route, payload, [&](crypto::Bytes) { ++delivered; }, rng);
-  mix.send(route, payload, [&](crypto::Bytes) { ++delivered; }, rng);
+  mix.send(route, payload, [&](crypto::Bytes) { ++delivered; }, rng, kFrom,
+           kTo);
+  mix.send(route, payload, [&](crypto::Bytes) { ++delivered; }, rng, kFrom,
+           kTo);
   sim.run_all();
   EXPECT_EQ(delivered, 2);
   EXPECT_EQ(mix.replays_blocked(), 0u);
@@ -117,7 +125,7 @@ TEST(MixNetwork, FreshWrappingsOfSamePayloadBothPass) {
 TEST(MixNetwork, ReplayedWrappingBlocked) {
   // §III-C replay defence: a relay drops a byte-identical message the
   // second time it sees it.
-  sim::Simulator sim;
+  sim::ShardedSimulator sim({.num_actors = 2});
   MixNetwork mix(sim, {.num_relays = 2}, Rng(12));
   Rng rng(13);
 
@@ -128,15 +136,15 @@ TEST(MixNetwork, ReplayedWrappingBlocked) {
       crypto::BytesView(payload.data(), payload.size()), rng);
 
   int delivered = 0;
-  mix.inject(0, wrapped, [&](crypto::Bytes) { ++delivered; });
-  mix.inject(0, wrapped, [&](crypto::Bytes) { ++delivered; });
+  mix.inject(0, wrapped, [&](crypto::Bytes) { ++delivered; }, kTo);
+  mix.inject(0, wrapped, [&](crypto::Bytes) { ++delivered; }, kTo);
   sim.run_all();
   EXPECT_EQ(delivered, 1);
   EXPECT_EQ(mix.replays_blocked(), 1u);
 }
 
 TEST(MixNetwork, ReplayProtectionCanBeDisabled) {
-  sim::Simulator sim;
+  sim::ShardedSimulator sim({.num_actors = 2});
   MixNetwork mix(sim, {.num_relays = 2, .replay_protection = false}, Rng(14));
   Rng rng(15);
   const crypto::Bytes payload = crypto::to_bytes("x");
@@ -144,14 +152,14 @@ TEST(MixNetwork, ReplayProtectionCanBeDisabled) {
       {{kFinalHop, mix.relay_public_key(0)}},
       crypto::BytesView(payload.data(), payload.size()), rng);
   int delivered = 0;
-  mix.inject(0, wrapped, [&](crypto::Bytes) { ++delivered; });
-  mix.inject(0, wrapped, [&](crypto::Bytes) { ++delivered; });
+  mix.inject(0, wrapped, [&](crypto::Bytes) { ++delivered; }, kTo);
+  mix.inject(0, wrapped, [&](crypto::Bytes) { ++delivered; }, kTo);
   sim.run_all();
   EXPECT_EQ(delivered, 2);
 }
 
 TEST(MixNetwork, DistinctRelayKeys) {
-  sim::Simulator sim;
+  sim::ShardedSimulator sim({.num_actors = 2});
   MixNetwork mix(sim, {.num_relays = 6}, Rng(11));
   for (RelayId a = 0; a < 6; ++a)
     for (RelayId b = a + 1; b < 6; ++b)

@@ -7,17 +7,17 @@
 #include "graph/generators.hpp"
 #include "overlay/sharded_service.hpp"
 #include "privacylink/mix_transport.hpp"
-#include "sim/simulator.hpp"
+#include "sim/sharded_simulator.hpp"
 
 namespace ppo::privacylink {
 namespace {
 
 TEST(MixTransport, DeliversThroughCircuit) {
-  sim::Simulator sim;
+  sim::ShardedSimulator sim({.num_actors = 4});
   MixNetwork mix(sim, {.num_relays = 6}, Rng(1));
   std::vector<char> online(4, 1);
-  MixTransport transport(sim, mix, {.circuit_hops = 3}, Rng(2),
-                         [&](graph::NodeId v) { return online[v] != 0; });
+  MixTransport transport(mix, {.circuit_hops = 3}, Rng(2),
+                         [&](graph::NodeId v) { return online[v] != 0; }, 4);
 
   bool delivered = false;
   EXPECT_TRUE(transport.send(0, 1, [&] { delivered = true; }));
@@ -29,11 +29,11 @@ TEST(MixTransport, DeliversThroughCircuit) {
 }
 
 TEST(MixTransport, GatesOnEndpointAvailability) {
-  sim::Simulator sim;
+  sim::ShardedSimulator sim({.num_actors = 2});
   MixNetwork mix(sim, {.num_relays = 4}, Rng(3));
   std::vector<char> online(2, 1);
-  MixTransport transport(sim, mix, {.circuit_hops = 2}, Rng(4),
-                         [&](graph::NodeId v) { return online[v] != 0; });
+  MixTransport transport(mix, {.circuit_hops = 2}, Rng(4),
+                         [&](graph::NodeId v) { return online[v] != 0; }, 2);
 
   online[0] = 0;
   EXPECT_FALSE(transport.send(0, 1, [] {}));
@@ -48,11 +48,11 @@ TEST(MixTransport, GatesOnEndpointAvailability) {
 }
 
 TEST(MixTransport, RelayFailureLosesInFlightTraffic) {
-  sim::Simulator sim;
+  sim::ShardedSimulator sim({.num_actors = 2});
   MixNetwork mix(sim, {.num_relays = 2}, Rng(5));
   std::vector<char> online(2, 1);
-  MixTransport transport(sim, mix, {.circuit_hops = 2}, Rng(6),
-                         [&](graph::NodeId v) { return online[v] != 0; });
+  MixTransport transport(mix, {.circuit_hops = 2}, Rng(6),
+                         [&](graph::NodeId v) { return online[v] != 0; }, 2);
   bool delivered = false;
   transport.send(0, 1, [&] { delivered = true; });
   // Both relays go down after the send, before the entry hop lands.

@@ -230,8 +230,9 @@ class CollectingSink : public TraceSink {
     ++batches;
     std::uint64_t last_seq = 0;
     for (const TraceRecord& record : batch) {
-      if (!records.empty() || last_seq > 0)
+      if (!records.empty() || last_seq > 0) {
         EXPECT_GT(record.seq, last_seq);
+      }
       last_seq = record.seq;
       records.push_back(record);
     }

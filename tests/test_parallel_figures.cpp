@@ -4,7 +4,6 @@
 // artefacts on the ppo_runner pool.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <iterator>
 #include <string>
@@ -114,10 +113,10 @@ TEST(ParallelFigures, SweepJsonCarriesSeriesScaleAndTelemetry) {
 // --- the run-level schedule moves no seed ------------------------------
 //
 // The alpha sweeps run one pool task per simulation run, heaviest first,
-// with the ER sizing run overlapping the cells. A seed that moved the
-// same way at every `jobs` would pass the jobs-invariance tests above,
-// so these tests compare against the sweep composed serially, run by
-// run, with the seed salts written out.
+// and the ER baselines wait on one of those runs for their edge count.
+// A seed that moved the same way at every `jobs` would pass the
+// jobs-invariance tests above, so these tests compare against the sweep
+// composed serially, run by run, with the seed salts written out.
 
 // Each test makes four passes over its sweep (the reference and three
 // `jobs` values), so the graphs are small and the window short.
@@ -162,15 +161,16 @@ RunValue value_of(const OverlayRunResult& run) {
           run.health};
 }
 
+/// reference_scale's alphas are {0.75, 0.25, 0.75}: the first cell at
+/// the highest alpha is replica 0 of alpha index 0.
+constexpr std::size_t kSizingCell = 0;
+
 /// The ER reference: G(n, M) with M the mean snapshot edge count of
-/// an f = 0.5 overlay run at the sweep's highest alpha.
-graph::Graph sized_er(const graph::Graph& t05, const FigureScale& scale,
-                      std::uint64_t sizing_salt, std::uint64_t er_salt) {
-  const double alpha_max =
-      *std::max_element(scale.alphas.begin(), scale.alphas.end());
-  const auto sizing =
-      run_overlay(t05, salted_scenario(scale, alpha_max, sizing_salt));
-  return er_reference(t05.num_nodes(),
+/// the sizing run, the f = 0.5 overlay run with Table I lifetime in
+/// cell kSizingCell.
+graph::Graph er_sized_by(const OverlayRunResult& sizing, std::size_t nodes,
+                         const FigureScale& scale, std::uint64_t er_salt) {
+  return er_reference(nodes,
                       static_cast<std::size_t>(
                           std::llround(sizing.stats.total_edges.mean())),
                       scale.seed ^ er_salt);
@@ -224,9 +224,10 @@ TEST(ParallelFigures, AvailabilitySweepMatchesSerialReference) {
   const graph::Graph& t10 = bench.trust_graph(1.0);
   const graph::Graph& t05 = bench.trust_graph(0.5);
   const FigureScale scale = reference_scale(1);
-  const graph::Graph er = sized_er(t05, scale, 99, 0xE6);
 
   std::vector<std::vector<RunValue>> runs;
+  std::vector<OverlayScenario> scenarios;
+  OverlayRunResult sizing;
   for (std::size_t i = 0; i < scale.alphas.size() * scale.replicas; ++i) {
     OverlayScenario s =
         salted_scenario(scale, scale.alphas[i / scale.replicas], 101 + i);
@@ -235,9 +236,17 @@ TEST(ParallelFigures, AvailabilitySweepMatchesSerialReference) {
     cell.push_back(value_of(run_static(t05, s.churn, s.window, s.seed ^ 2)));
     cell.push_back(value_of(run_overlay(t10, s)));
     s.seed ^= 0x51;
-    cell.push_back(value_of(run_overlay(t05, s)));
-    cell.push_back(value_of(run_static(er, s.churn, s.window, s.seed ^ 3)));
+    const OverlayRunResult f05 = run_overlay(t05, s);
+    if (i == kSizingCell) sizing = f05;
+    cell.push_back(value_of(f05));
     runs.push_back(std::move(cell));
+    scenarios.push_back(s);
+  }
+  const graph::Graph er = er_sized_by(sizing, t05.num_nodes(), scale, 0xE6);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const OverlayScenario& s = scenarios[i];
+    runs[i].push_back(
+        value_of(run_static(er, s.churn, s.window, s.seed ^ 3)));
   }
 
   for (const std::size_t jobs : {1u, 2u, 8u}) {
@@ -251,10 +260,11 @@ TEST(ParallelFigures, LifetimeSweepMatchesSerialReference) {
   Workbench bench(reference_bench());
   const graph::Graph& trust = bench.trust_graph(0.5);
   const FigureScale scale = reference_scale(1);
-  const graph::Graph er = sized_er(trust, scale, 199, 0xE7);
   const double lifetimes[] = {1.0, 3.0, 9.0, kInfiniteLifetime};
 
   std::vector<std::vector<RunValue>> runs;
+  std::vector<OverlayScenario> scenarios;
+  OverlayRunResult sizing;
   for (std::size_t i = 0; i < scale.alphas.size() * scale.replicas; ++i) {
     const OverlayScenario s =
         salted_scenario(scale, scale.alphas[i / scale.replicas], 211 + i);
@@ -266,10 +276,18 @@ TEST(ParallelFigures, LifetimeSweepMatchesSerialReference) {
       variant.params.pseudonym_lifetime =
           k + 1 < std::size(lifetimes) ? lifetimes[k] * s.churn.mean_offline
                                        : lifetimes[k];
-      cell.push_back(value_of(run_overlay(trust, variant)));
+      const OverlayRunResult run = run_overlay(trust, variant);
+      if (i == kSizingCell && k == 1) sizing = run;  // r3: Table I lifetime
+      cell.push_back(value_of(run));
     }
-    cell.push_back(value_of(run_static(er, s.churn, s.window, s.seed ^ 8)));
     runs.push_back(std::move(cell));
+    scenarios.push_back(s);
+  }
+  const graph::Graph er = er_sized_by(sizing, trust.num_nodes(), scale, 0xE7);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const OverlayScenario& s = scenarios[i];
+    runs[i].push_back(
+        value_of(run_static(er, s.churn, s.window, s.seed ^ 8)));
   }
 
   for (const std::size_t jobs : {1u, 2u, 8u}) {
@@ -279,7 +297,8 @@ TEST(ParallelFigures, LifetimeSweepMatchesSerialReference) {
   }
 }
 
-// The ER baselines wait on the sizing run. When it fails, they fail
+// The ER baselines wait on the sizing run (the f = 0.5 overlay run, or
+// r3, of the first cell at the highest alpha). When it fails, they fail
 // with it instead of blocking the pool; an empty alpha list is refused.
 TEST(ParallelFigures, FailedSizingRunFailsTheSweep) {
   Workbench bench(tiny_bench());

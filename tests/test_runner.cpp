@@ -181,7 +181,7 @@ TEST(Sweep, ProgressReportingCountsCells) {
   run_grid(4, opt, synthetic_cell);
   const std::string text = progress.str();
   EXPECT_NE(text.find("unit-sweep: "), std::string::npos);
-  EXPECT_NE(text.find("4/4 cells done"), std::string::npos);
+  EXPECT_NE(text.find("4/4 tasks done"), std::string::npos);
   EXPECT_NE(text.find("ETA"), std::string::npos);
 }
 

@@ -113,7 +113,6 @@ TEST(ShardedService, LinkFaultTrajectoriesAreShardCountInvariant) {
   fault::FaultPlan plan;
   plan.drop_probability = 0.2;
   plan.duplicate_probability = 0.1;
-  plan.per_link_streams = true;
   plan.seed = 0xFEED;
   options.link_faults = plan;
   options.params.shuffle_timeout = 0.25;
@@ -131,7 +130,8 @@ TEST(ShardedService, RequiresPerLinkStreamsForFaultPlans) {
   const graph::Graph trust = test_graph(40, 3);
   OverlayServiceOptions options = small_options();
   fault::FaultPlan plan;
-  plan.drop_probability = 0.2;  // per_link_streams left false
+  plan.drop_probability = 0.2;
+  plan.per_link_streams = false;  // no shared fate stream exists
   options.link_faults = plan;
   sim::ShardedSimulator::Options so;
   so.shards = 2;

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -227,6 +228,43 @@ TEST(ShardedSim, EventStormIsShardCountInvariant) {
   std::size_t total = 0;
   for (const auto& t : serial.per_actor) total += t.size();
   EXPECT_GT(total, 100u);
+}
+
+// run_all() runs windows until nothing is pending, at every K: a
+// relay of events that schedule events drains completely and in the
+// same order, and an endless chain exhausts the event budget.
+TEST(ShardedSim, RunAllDrainsToQuiescence) {
+  constexpr ActorId kActors = 8;
+  const auto drain = [](std::size_t shards) {
+    ShardedSimulator sim(options(shards, kActors));
+    std::vector<std::vector<double>> fired(kActors);
+    // Each actor hands a countdown to its neighbour, more than one
+    // lookahead ahead, so the relay crosses shards.
+    std::function<void(ActorId, int)> hop = [&](ActorId v, int left) {
+      fired[v].push_back(sim.now());
+      if (left == 0) return;
+      const ActorId next = (v + 1) % kActors;
+      sim.schedule_at_for(next, sim.now() + 1.25,
+                          [&hop, next, left] { hop(next, left - 1); });
+    };
+    for (ActorId v = 0; v < kActors; ++v)
+      sim.schedule_at_for(v, 0.5, [&hop, v] { hop(v, 20); });
+    EXPECT_EQ(sim.run_all(), kActors * 21u);
+    EXPECT_TRUE(sim.idle());
+    EXPECT_GE(sim.now(), 0.5 + 20 * 1.25);
+    return fired;
+  };
+  const auto serial = drain(1);
+  EXPECT_EQ(serial[3].size(), 21u);
+  EXPECT_EQ(drain(2), serial);
+
+  for (const std::size_t shards : {1u, 2u}) {
+    ShardedSimulator sim(options(shards, 4));
+    std::function<void()> forever = [&] { sim.schedule_after(1.0, forever); };
+    sim.schedule_at_for(1, 0.0, forever);
+    EXPECT_THROW(sim.run_all(100), CheckError) << "K=" << shards;
+    EXPECT_GE(sim.events_executed(), 100u);
+  }
 }
 
 }  // namespace

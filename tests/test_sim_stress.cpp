@@ -1,24 +1,30 @@
-// Simulator stress: ordering against a sorted reference under large
-// random schedules, and heavy self-rescheduling workloads.
+// Simulator stress at K = 1: ordering against a sorted reference under
+// large random schedules, and heavy self-rescheduling workloads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 
 #include "common/rng.hpp"
-#include "sim/simulator.hpp"
+#include "sim/sharded_simulator.hpp"
 
 namespace ppo::sim {
 namespace {
 
+ShardedSimulator::Options one_shard() {
+  return {.num_actors = 100, .lookahead = 0.5};
+}
+
 TEST(SimulatorStress, TenThousandRandomEventsRunInOrder) {
-  Simulator sim;
+  ShardedSimulator sim(one_shard());
   Rng rng(1);
   std::vector<double> scheduled;
   std::vector<double> observed;
   for (int i = 0; i < 10'000; ++i) {
     const double t = rng.uniform_double(0.0, 1000.0);
     scheduled.push_back(t);
-    sim.schedule_at(t, [&observed, &sim] { observed.push_back(sim.now()); });
+    sim.schedule_at_for(static_cast<ActorId>(i % 100), t,
+                        [&observed, &sim] { observed.push_back(sim.now()); });
   }
   sim.run_all();
   ASSERT_EQ(observed.size(), scheduled.size());
@@ -28,7 +34,7 @@ TEST(SimulatorStress, TenThousandRandomEventsRunInOrder) {
 }
 
 TEST(SimulatorStress, CascadingReschedulesStayStable) {
-  Simulator sim;
+  ShardedSimulator sim(one_shard());
   Rng rng(2);
   std::uint64_t fired = 0;
   // 100 self-perpetuating chains with random inter-arrival times.
@@ -37,20 +43,22 @@ TEST(SimulatorStress, CascadingReschedulesStayStable) {
     if (sim.now() < 500.0)
       sim.schedule_after(rng.uniform_double(0.1, 2.0), chain);
   };
-  for (int i = 0; i < 100; ++i) sim.schedule_at(0.0, chain);
+  for (int i = 0; i < 100; ++i)
+    sim.schedule_at_for(static_cast<ActorId>(i), 0.0, chain);
   sim.run_all();
   // ~100 chains x ~500 periods / ~1.05 mean step.
   EXPECT_GT(fired, 30'000u);
-  EXPECT_DOUBLE_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.pending(), 0u);
 }
 
 TEST(SimulatorStress, InterleavedRunUntilWindows) {
-  Simulator sim;
+  ShardedSimulator sim(one_shard());
   Rng rng(3);
   std::vector<double> times;
   for (int i = 0; i < 5'000; ++i) {
     const double t = rng.uniform_double(0.0, 100.0);
-    sim.schedule_at(t, [&times, &sim] { times.push_back(sim.now()); });
+    sim.schedule_at_for(static_cast<ActorId>(i % 100), t,
+                        [&times, &sim] { times.push_back(sim.now()); });
   }
   std::size_t total = 0;
   for (double window = 10.0; window <= 100.0; window += 10.0)

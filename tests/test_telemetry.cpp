@@ -97,8 +97,9 @@ TEST(StreamingHistogram, BucketIndexMonotone) {
     EXPECT_LT(idx, obs::StreamingHistogram::kBuckets);
     // The bucket's upper bound caps the value it was assigned for
     // (interior buckets; the clamped extremes saturate).
-    if (idx > 0 && idx + 1 < obs::StreamingHistogram::kBuckets)
+    if (idx > 0 && idx + 1 < obs::StreamingHistogram::kBuckets) {
       EXPECT_LE(v, obs::StreamingHistogram::bucket_upper_bound(idx) * 1.0001);
+    }
     prev = idx;
   }
 }

@@ -2,20 +2,21 @@
 #include <gtest/gtest.h>
 
 #include "privacylink/transport.hpp"
-#include "sim/simulator.hpp"
+#include "sim/sharded_simulator.hpp"
 
 namespace ppo::privacylink {
 namespace {
 
 struct Fixture {
-  sim::Simulator sim;
+  sim::ShardedSimulator sim;
   std::vector<char> online;
   Transport transport;
 
   explicit Fixture(std::size_t n, TransportOptions opts = {})
-      : online(n, 1),
+      : sim({.num_actors = n}),
+        online(n, 1),
         transport(sim, opts, Rng(7),
-                  [this](NodeId v) { return online[v] != 0; }) {}
+                  [this](NodeId v) { return online[v] != 0; }, n) {}
 };
 
 TEST(Transport, DeliversWithinLatencyWindow) {
@@ -55,14 +56,14 @@ TEST(Transport, DestinationCheckedAtArrivalTime) {
   Fixture fx(2, {.min_latency = 1.0, .max_latency = 1.0});
   bool delivered = false;
   fx.transport.send(0, 1, [&] { delivered = true; });
-  fx.sim.schedule_at(0.5, [&] { fx.online[1] = 0; });
+  fx.sim.schedule_at_for(1, 0.5, [&] { fx.online[1] = 0; });
   fx.sim.run_all();
   EXPECT_FALSE(delivered);
 
   // And the reverse: it comes online just in time.
   fx.online[1] = 0;
   fx.transport.send(0, 1, [&] { delivered = true; });
-  fx.sim.schedule_after(0.5, [&] { fx.online[1] = 1; });
+  fx.sim.schedule_for(1, 0.5, [&] { fx.online[1] = 1; });
   fx.sim.run_all();
   EXPECT_TRUE(delivered);
 }
@@ -76,9 +77,9 @@ TEST(Transport, ZeroLatencyAllowed) {
 }
 
 TEST(Transport, InvalidLatencyWindowThrows) {
-  sim::Simulator sim;
+  sim::ShardedSimulator sim({.num_actors = 2});
   EXPECT_THROW(Transport(sim, {.min_latency = 0.5, .max_latency = 0.1},
-                         Rng(1), [](NodeId) { return true; }),
+                         Rng(1), [](NodeId) { return true; }, 2),
                CheckError);
 }
 

@@ -21,8 +21,7 @@
 // with `--commit <sha>`), keeping a per-commit trend CI can grow one
 // run at a time:
 //
-//   bench_diff BENCH_fig3.json --history fig3.history.jsonl \
-//              --last 10 --append --commit "$GITHUB_SHA"
+//   bench_diff BENCH_fig3.json --history fig3.history.jsonl --last 10 --append --commit "$GITHUB_SHA"
 //
 // Compares the envelope's total `wall_seconds`, the `peak_rss_bytes`
 // memory footprint (when both reports carry one), when both reports
