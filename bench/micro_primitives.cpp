@@ -107,10 +107,10 @@ void BM_EventQueueChurn(benchmark::State& state) {
   Rng rng(8);
   std::uint64_t seq = 0;
   for (int i = 0; i < 1000; ++i)
-    queue.push({rng.uniform_double(0.0, 1e7), 0, seq++, 0, [] {}});
+    queue.push({.time = rng.uniform_double(0.0, 1e7), .seq = seq++});
   sim::Time now = 0.0;
   for (auto _ : state) {
-    queue.push({now + rng.uniform_double(0.0, 10.0), 0, seq++, 0, [] {}});
+    queue.push({.time = now + rng.uniform_double(0.0, 10.0), .seq = seq++});
     now = queue.pop().time;
     benchmark::DoNotOptimize(now);
   }

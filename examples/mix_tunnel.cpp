@@ -5,12 +5,31 @@
 // replay defences.
 //
 //   ./mix_tunnel [--hops=3] [--relays=8]
+#include <functional>
 #include <iostream>
 
 #include "common/cli.hpp"
 #include "crypto/bytes.hpp"
 #include "privacylink/mix_network.hpp"
 #include "sim/sharded_simulator.hpp"
+
+namespace {
+
+/// Where the mix network hands what leaves an exit relay: each step of
+/// the tour installs what to do with the next delivery.
+struct Receiver final : ppo::privacylink::LinkReceiver {
+  std::function<void(std::span<const std::uint8_t>)> on_message;
+
+  void receive(ppo::graph::NodeId, ppo::graph::NodeId,
+               std::span<const std::uint8_t> message) override {
+    on_message(message);
+  }
+  bool decodable(std::span<const std::uint8_t>) const override {
+    return false;
+  }
+};
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace ppo;
@@ -23,6 +42,8 @@ int main(int argc, char** argv) {
   constexpr sim::ActorId kReceiver = 1;
   sim::ShardedSimulator sim({.num_actors = 2});
   privacylink::MixNetwork mix(sim, {.num_relays = relays}, Rng(3));
+  Receiver receiver;
+  mix.set_receiver(receiver);
   Rng rng(5);
 
   const auto route = mix.random_route(hops, rng);
@@ -48,10 +69,11 @@ int main(int argc, char** argv) {
             << "pubkey + nonce + AEAD tag + next-hop)\n\n";
 
   // End-to-end delivery through the simulated network.
-  mix.send(route, payload, [&](crypto::Bytes delivered) {
+  receiver.on_message = [&](std::span<const std::uint8_t> delivered) {
     std::cout << "delivered at t=" << sim.now() << ": \""
               << std::string(delivered.begin(), delivered.end()) << "\"\n";
-  }, rng, kSender, kReceiver);
+  };
+  mix.send(route, payload, rng, kSender, kReceiver);
   sim.run_all();
 
   // An external observer tampering with a layer gets the message
@@ -60,8 +82,8 @@ int main(int argc, char** argv) {
       specs, crypto::BytesView(payload.data(), payload.size()), rng);
   tampered[60] ^= 0x01;
   bool leaked = false;
-  mix.inject(route[0], tampered, [&](crypto::Bytes) { leaked = true; },
-             kReceiver);
+  receiver.on_message = [&](std::span<const std::uint8_t>) { leaked = true; };
+  mix.inject(route[0], tampered, kReceiver);
   sim.run_all();
   std::cout << "tampered copy: " << (leaked ? "DELIVERED (bug!)" : "dropped")
             << "\n";
@@ -71,10 +93,9 @@ int main(int argc, char** argv) {
   const crypto::Bytes captured = privacylink::onion_wrap(
       specs, crypto::BytesView(payload.data(), payload.size()), rng);
   int deliveries = 0;
-  mix.inject(route[0], captured, [&](crypto::Bytes) { ++deliveries; },
-             kReceiver);
-  mix.inject(route[0], captured, [&](crypto::Bytes) { ++deliveries; },
-             kReceiver);
+  receiver.on_message = [&](std::span<const std::uint8_t>) { ++deliveries; };
+  mix.inject(route[0], captured, kReceiver);
+  mix.inject(route[0], captured, kReceiver);
   sim.run_all();
   std::cout << "replayed copy: delivered " << deliveries
             << "x (second copy blocked), replays blocked so far: "

@@ -1,15 +1,48 @@
 #include "apps/groupchat.hpp"
 
 #include <algorithm>
+#include <string_view>
 
+#include "ckpt/io.hpp"
 #include "common/check.hpp"
 
 namespace ppo::apps {
+
+namespace {
+
+constexpr std::uint8_t kTick = 0;  // a member's anti-entropy tick
+
+/// First byte of a chat message.
+enum Message : std::uint8_t { kPost = 0, kWatermarks = 1, kMissing = 2 };
+
+void write_post(ckpt::Writer& w, const Post& post) {
+  w.u32(post.author);
+  w.u32(post.seq);
+  w.f64(post.published);
+  w.str(post.text);
+}
+
+Post read_post(ckpt::Reader& r) {
+  Post post;
+  post.author = r.u32();
+  post.seq = r.u32();
+  post.published = r.f64();
+  post.text = r.str();
+  return post;
+}
+
+sim::Payload bytes_of(const ckpt::Writer& w) {
+  const std::string& b = w.buffer();
+  return sim::Payload(b.begin(), b.end());
+}
+
+}  // namespace
 
 GroupChat::GroupChat(sim::ShardedSimulator& sim,
                      overlay::ShardedOverlayService& overlay,
                      GroupChatOptions options, Rng rng)
     : sim_(sim),
+      handler_(sim.add_handler(*this)),
       overlay_(overlay),
       options_(options),
       rng_(rng),
@@ -20,19 +53,51 @@ GroupChat::GroupChat(sim::ShardedSimulator& sim,
       next_seq_(overlay.num_nodes(), 0) {
   PPO_CHECK_MSG(sim.num_shards() == 1,
                 "group chat shares its post store across members: K = 1 only");
+  transport_.set_receiver(*this);
 }
 
 void GroupChat::start() {
   PPO_CHECK_MSG(!started_, "group chat already started");
   started_ = true;
-  timers_.reserve(members_.size());
+  // A tick schedules its successor, so a period of zero would loop at
+  // one instant.
+  PPO_CHECK_MSG(options_.anti_entropy_period > 0.0,
+                "anti-entropy period must be positive");
   for (NodeId v = 0; v < members_.size(); ++v) {
     const double phase =
         rng_.uniform_double(0.0, options_.anti_entropy_period);
-    timers_.push_back(sim::PeriodicTask::start(
-        sim_, phase, options_.anti_entropy_period,
-        [this, v] { anti_entropy_tick(v); }, v));
+    sim_.schedule_for(v, phase, handler_, kTick);
   }
+}
+
+void GroupChat::fire(const sim::Event& event) {
+  anti_entropy_tick(event.target);
+  sim_.schedule_for(event.target, options_.anti_entropy_period, handler_,
+                    kTick);
+}
+
+void GroupChat::receive(NodeId from, NodeId to,
+                        std::span<const std::uint8_t> message) {
+  ckpt::Reader r(std::string_view(
+      reinterpret_cast<const char*>(message.data()), message.size()));
+  switch (r.u8()) {
+    case kPost:
+      deliver(to, read_post(r));
+      break;
+    case kWatermarks: {
+      std::vector<std::uint32_t> watermarks(members_.size());
+      for (std::uint32_t& w : watermarks) w = r.u32();
+      serve_missing(to, from, watermarks);
+      break;
+    }
+    default:
+      for (std::size_t n = r.size(); n > 0; --n) deliver(to, read_post(r));
+      break;
+  }
+}
+
+bool GroupChat::decodable(std::span<const std::uint8_t> /*message*/) const {
+  return false;  // the chat is outside the checkpoint scope
 }
 
 std::pair<NodeId, std::uint32_t> GroupChat::publish(NodeId author,
@@ -64,10 +129,11 @@ void GroupChat::deliver(NodeId node, const Post& post) {
 }
 
 void GroupChat::eager_push(NodeId from, const Post& post) {
-  for (const NodeId peer : overlay_.current_peers(from)) {
-    transport_.send(from, peer,
-                    [this, peer, post] { deliver(peer, post); });
-  }
+  ckpt::Writer w;
+  w.u8(kPost);
+  write_post(w, post);
+  for (const NodeId peer : overlay_.current_peers(from))
+    transport_.send(from, peer, bytes_of(w));
 }
 
 void GroupChat::anti_entropy_tick(NodeId node) {
@@ -82,30 +148,31 @@ void GroupChat::anti_entropy_tick(NodeId node) {
   for (const auto& [author, log] : members_[node].by_author)
     watermarks[author] = log.watermark;
   ++exchanges_;
-  transport_.send(node, partner,
-                  [this, partner, node, w = std::move(watermarks)] {
-                    serve_missing(partner, node, w);
-                  });
+  ckpt::Writer w;
+  w.u8(kWatermarks);
+  for (const std::uint32_t watermark : watermarks) w.u32(watermark);
+  transport_.send(node, partner, bytes_of(w));
 }
 
 void GroupChat::serve_missing(
     NodeId server, NodeId requester,
     const std::vector<std::uint32_t>& requester_watermarks) {
-  // Collect the missing posts in one response (a single link message
-  // in a real deployment; delivered post-by-post here so each post's
-  // first-receipt latency is tracked individually).
-  std::vector<Post> missing;
+  // Collect the missing posts in one response (a single link message;
+  // delivered post-by-post so each post's first-receipt latency is
+  // tracked individually).
+  std::vector<const Post*> missing;
   for (const auto& [author, log] : members_[server].by_author) {
     const std::uint32_t watermark = requester_watermarks[author];
     for (auto it = log.posts.upper_bound(watermark); it != log.posts.end();
          ++it)
-      missing.push_back(it->second);
+      missing.push_back(&it->second);
   }
   if (missing.empty()) return;
-  transport_.send(server, requester,
-                  [this, requester, posts = std::move(missing)] {
-                    for (const Post& post : posts) deliver(requester, post);
-                  });
+  ckpt::Writer w;
+  w.u8(kMissing);
+  w.size(missing.size());
+  for (const Post* post : missing) write_post(w, *post);
+  transport_.send(server, requester, bytes_of(w));
 }
 
 std::size_t GroupChat::posts_held(NodeId node) const {

@@ -17,7 +17,10 @@
 //
 // Runs at K = 1 only: the post store, the RNG and the latency stats
 // are shared across members, so the simulator must have one shard.
-// Each member's anti-entropy timer is scheduled for that member.
+// Each member's anti-entropy tick is an event of that member's, which
+// schedules its successor. Application messages are bytes on the
+// chat's own transport: a post, a version-vector request, or the
+// posts a request was missing.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +39,7 @@ namespace ppo::apps {
 using graph::NodeId;
 
 struct GroupChatOptions {
-  /// Periods between a node's anti-entropy exchanges.
+  /// Periods between a node's anti-entropy exchanges (> 0).
   double anti_entropy_period = 2.0;
   /// Link latency model for application traffic.
   privacylink::TransportOptions transport;
@@ -50,14 +53,15 @@ struct Post {
   std::string text;
 };
 
-class GroupChat {
+class GroupChat final : public privacylink::LinkReceiver,
+                        public sim::EventHandler {
  public:
   /// `sim` must have exactly one shard (see the header comment).
   GroupChat(sim::ShardedSimulator& sim,
             overlay::ShardedOverlayService& overlay,
             GroupChatOptions options, Rng rng);
 
-  /// Starts the per-node anti-entropy timers.
+  /// Starts the per-node anti-entropy ticks.
   void start();
 
   /// Publishes a post authored by `author` (must be online). Returns
@@ -77,6 +81,15 @@ class GroupChat {
   const RunningStats& delivery_latency() const { return delivery_latency_; }
   std::uint64_t messages_sent() const { return transport_.messages_sent(); }
   std::uint64_t anti_entropy_exchanges() const { return exchanges_; }
+
+  // --- privacylink::LinkReceiver: the chat's messages ---
+  void receive(NodeId from, NodeId to,
+               std::span<const std::uint8_t> message) override;
+  bool decodable(std::span<const std::uint8_t> message) const override;
+
+  // --- sim::EventHandler: one kind, a member's anti-entropy tick ---
+  void fire(const sim::Event& event) override;
+  std::uint32_t handler_tag() const override { return 0x43484154u; }
 
  private:
   struct AuthorLog {
@@ -101,13 +114,13 @@ class GroupChat {
                      const std::vector<std::uint32_t>& requester_watermarks);
 
   sim::ShardedSimulator& sim_;
+  sim::HandlerId handler_;
   overlay::ShardedOverlayService& overlay_;
   GroupChatOptions options_;
   Rng rng_;
   privacylink::Transport transport_;
   std::vector<MemberState> members_;
   std::vector<std::uint32_t> next_seq_;
-  std::vector<sim::PeriodicTask> timers_;
   RunningStats delivery_latency_;
   std::uint64_t exchanges_ = 0;
   bool started_ = false;

@@ -4,6 +4,10 @@
 
 namespace ppo::churn {
 
+namespace {
+constexpr std::uint8_t kTransition = 0;  // a = epoch, b = was_online
+}  // namespace
+
 ChurnDriver::ChurnDriver(sim::ShardedSimulator& sim, std::size_t num_nodes,
                          const ChurnModel& model, Rng rng)
     : ChurnDriver(sim, std::vector<const ChurnModel*>(num_nodes, &model),
@@ -12,12 +16,12 @@ ChurnDriver::ChurnDriver(sim::ShardedSimulator& sim, std::size_t num_nodes,
 ChurnDriver::ChurnDriver(sim::ShardedSimulator& sim,
                          std::vector<const ChurnModel*> models, Rng rng)
     : sim_(sim),
+      handler_(sim.add_handler(*this)),
       num_nodes_(models.size()),
       models_(std::move(models)),
       online_(num_nodes_, false),
       failed_(num_nodes_, 0),
-      epoch_(num_nodes_, 0),
-      pending_(num_nodes_) {
+      epoch_(num_nodes_, 0) {
   for (const ChurnModel* model : models_)
     PPO_CHECK_MSG(model != nullptr, "null churn model");
   node_rngs_.reserve(num_nodes_);
@@ -39,16 +43,24 @@ void ChurnDriver::start(ChurnCallbacks callbacks, bool fire_initial) {
   }
 }
 
-sim::EventFn ChurnDriver::transition_event(NodeId v, std::uint64_t epoch,
-                                           bool was_online) {
-  return [this, v, epoch, was_online] {
-    if (epoch_[v] != epoch || failed_[v]) return;
-    if (was_online)
-      go_offline(v);
-    else
-      go_online(v);
-    schedule_transition(v);
-  };
+void ChurnDriver::resume(ChurnCallbacks callbacks) {
+  PPO_CHECK_MSG(!started_, "churn driver already started");
+  started_ = true;
+  callbacks_ = std::move(callbacks);
+}
+
+void ChurnDriver::fire(const sim::Event& event) {
+  const NodeId v = event.target;
+  if (epoch_[v] != event.a || failed_[v]) return;  // stale: failed since
+  if (event.b != 0)
+    go_offline(v);
+  else
+    go_online(v);
+  schedule_transition(v);
+}
+
+bool ChurnDriver::accepts(const sim::Event& event) const {
+  return event.kind == kTransition && event.b <= 1 && event.payload.empty();
 }
 
 void ChurnDriver::schedule_transition(NodeId v) {
@@ -61,10 +73,8 @@ void ChurnDriver::schedule_transition(NodeId v) {
   const double dwell = currently_online
                            ? models_[v]->next_online_duration(rng)
                            : models_[v]->next_offline_duration(rng);
-  const std::uint64_t my_epoch = epoch_[v];
-  sim_.schedule_for(v, dwell, transition_event(v, my_epoch, currently_online));
-  pending_[v] = PendingTransition{sim_.now() + dwell, sim_.last_ticket(),
-                                  my_epoch, currently_online};
+  sim_.schedule_for(v, dwell, handler_, kTransition, epoch_[v],
+                    currently_online ? 1 : 0);
 }
 
 void ChurnDriver::go_online(NodeId v) {
@@ -94,12 +104,6 @@ void ChurnDriver::save_state(ckpt::Writer& w) const {
     w.b(online_.contains(v));
     w.b(failed_[v] != 0);
     w.u64(epoch_[v]);
-    const PendingTransition& p = pending_[v];
-    w.f64(p.fire_time);
-    w.u32(p.ticket.origin);
-    w.u64(p.ticket.seq);
-    w.u64(p.epoch);
-    w.b(p.was_online);
   }
 }
 
@@ -113,26 +117,6 @@ void ChurnDriver::load_state(ckpt::Reader& r) {
     online_.set(v, r.b());
     failed_[v] = r.b() ? 1 : 0;
     epoch_[v] = r.u64();
-    PendingTransition& p = pending_[v];
-    p.fire_time = r.f64();
-    p.ticket.origin = r.u32();
-    p.ticket.seq = r.u64();
-    p.epoch = r.u64();
-    p.was_online = r.b();
-  }
-}
-
-void ChurnDriver::restore_start(ChurnCallbacks callbacks) {
-  PPO_CHECK_MSG(!started_, "churn driver already started");
-  started_ = true;
-  callbacks_ = std::move(callbacks);
-  for (NodeId v = 0; v < num_nodes_; ++v) {
-    // A node whose journaled epoch is stale (failed since) has no live
-    // transition; everyone else gets theirs back verbatim.
-    if (failed_[v] || pending_[v].epoch != epoch_[v]) continue;
-    const PendingTransition& p = pending_[v];
-    sim_.restore_event(p.fire_time, p.ticket, v,
-                       transition_event(v, p.epoch, p.was_online));
   }
 }
 

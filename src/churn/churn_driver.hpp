@@ -21,7 +21,7 @@ struct ChurnCallbacks {
   std::function<void(NodeId)> on_offline;
 };
 
-class ChurnDriver {
+class ChurnDriver final : public sim::EventHandler {
  public:
   /// Homogeneous population: all nodes share `model` (the paper gives
   /// every node the same availability parameters, §IV-B).
@@ -44,6 +44,11 @@ class ChurnDriver {
   /// nodes if `fire_initial` is true.
   void start(ChurnCallbacks callbacks, bool fire_initial = true);
 
+  /// Restore-time replacement for start(): installs the callbacks
+  /// only. The pending transitions come back with the simulator's
+  /// queue section.
+  void resume(ChurnCallbacks callbacks);
+
   bool is_online(NodeId v) const { return online_.contains(v); }
   const graph::NodeMask& online_mask() const { return online_; }
   std::size_t online_count() const { return online_.count(num_nodes_); }
@@ -58,25 +63,22 @@ class ChurnDriver {
   void revive(NodeId v);
 
   /// --- checkpoint/restore -------------------------------------------
-  /// Serializes each node's RNG stream, online/failed/epoch state and
-  /// the journal entry of its pending transition event.
+  /// Serializes each node's RNG stream and online/failed/epoch state.
   void save_state(ckpt::Writer& w) const;
   void load_state(ckpt::Reader& r);
 
-  /// Restore-time replacement for start(): installs the callbacks and
-  /// re-inserts every journaled pending transition at its original
-  /// (time, ticket) position — no initial-state sampling, no dwell
-  /// draws, no callback firing.
-  void restore_start(ChurnCallbacks callbacks);
+  // --- sim::EventHandler: one kind, a node's next transition ---
+  void fire(const sim::Event& event) override;
+  std::uint32_t handler_tag() const override { return 0x4348524Eu; }
+  bool accepts(const sim::Event& event) const override;
 
  private:
   void go_online(NodeId v);
   void go_offline(NodeId v);
   void schedule_transition(NodeId v);
-  sim::EventFn transition_event(NodeId v, std::uint64_t epoch,
-                                bool was_online);
 
   sim::ShardedSimulator& sim_;
+  sim::HandlerId handler_;
   std::size_t num_nodes_;
   std::vector<const ChurnModel*> models_;  // one per node
   std::vector<Rng> node_rngs_;             // one per node
@@ -85,16 +87,6 @@ class ChurnDriver {
   /// Epoch counter per node: cancels stale transitions after
   /// fail_permanently.
   std::vector<std::uint64_t> epoch_;
-  /// Journal of the one live pending transition per node: everything
-  /// needed to rebuild its closure at restore. Entries whose epoch no
-  /// longer matches (node failed since) are dead and skipped.
-  struct PendingTransition {
-    double fire_time = 0.0;
-    sim::EventTicket ticket;
-    std::uint64_t epoch = 0;
-    bool was_online = false;
-  };
-  std::vector<PendingTransition> pending_;
   ChurnCallbacks callbacks_;
   bool started_ = false;
 };

@@ -26,10 +26,10 @@
 namespace ppo::ckpt {
 
 inline constexpr std::uint32_t kMagic = 0x434F5050u;  // "PPOC"
-/// Version 3: one RNG discipline per layer — the churn, transport and
-/// fault sections hold only node- and link-keyed streams (no shared
-/// streams, no stream-mode counts). Older files load as kBadVersion.
-inline constexpr std::uint32_t kVersion = 3;
+/// Version 4: the payload ends in the simulator's queue section, every
+/// pending event written as data (no delivery, timer or transition
+/// journals). Older files load as kBadVersion.
+inline constexpr std::uint32_t kVersion = 4;
 
 enum class Status {
   kOk,

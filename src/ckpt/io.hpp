@@ -43,6 +43,11 @@ class Writer {
     raw(s.data(), s.size());
   }
 
+  void bytes(const std::vector<std::uint8_t>& v) {
+    size(v.size());
+    raw(v.data(), v.size());
+  }
+
   void rng(const Rng& r) {
     for (std::uint64_t w : r.state()) u64(w);
   }
@@ -96,6 +101,14 @@ class Reader {
     std::string out(data_.substr(off_, n));
     off_ += n;
     return out;
+  }
+
+  std::vector<std::uint8_t> bytes() {
+    const std::size_t n = size();
+    const auto* p =
+        reinterpret_cast<const std::uint8_t*>(data_.data() + off_);
+    off_ += n;
+    return std::vector<std::uint8_t>(p, p + n);
   }
 
   Rng rng() {

@@ -11,13 +11,16 @@ namespace ppo::dissem {
 
 namespace {
 
-struct BroadcastState {
+constexpr std::uint8_t kArrival = 0;  // a = hops travelled
+
+struct BroadcastState final : sim::EventHandler {
   const graph::Graph& g;
   const graph::NodeMask& online;
   const BroadcastOptions& options;
   Rng& rng;
   /// One shard: every forward draws from the caller's one `rng`.
   sim::ShardedSimulator sim;
+  sim::HandlerId handler;
 
   std::vector<char> received;
   BroadcastResult result;
@@ -27,7 +30,13 @@ struct BroadcastState {
                  const BroadcastOptions& opts, Rng& r)
       : g(graph), online(mask), options(opts), rng(r),
         sim({.num_actors = graph.num_nodes()}),
+        handler(sim.add_handler(*this)),
         received(graph.num_nodes(), 0) {}
+
+  void fire(const sim::Event& event) override {
+    deliver(event.target, static_cast<std::uint32_t>(event.a));
+  }
+  std::uint32_t handler_tag() const override { return 0x464C4F44u; }
 
   void forward_from(NodeId node, std::uint32_t hops) {
     if (options.max_hops >= 0 &&
@@ -41,9 +50,7 @@ struct BroadcastState {
       ++result.messages_sent;
       const double latency_draw =
           rng.uniform_double(options.min_latency, options.max_latency);
-      sim.schedule_for(next, latency_draw, [this, next, hops] {
-        deliver(next, hops + 1);
-      });
+      sim.schedule_for(next, latency_draw, handler, kArrival, hops + 1);
     }
   }
 

@@ -192,19 +192,13 @@ OverlayTrace measure_overlay_trace(sim::ShardedSimulator& sim,
 
 // --- warm-start forking (DESIGN.md §13) ------------------------------
 
-/// Whether the scenario's warmup state fits the checkpoint scope:
-/// no scheduled service faults or node-crash bursts (FaultInjector
-/// events are not journaled), and single-stage deliveries only.
+/// Whether the scenario's warmup state fits the warm-start scope: no
+/// scheduled service faults or node-crash bursts, whose inputs the
+/// cell hash does not cover.
 bool warm_start_usable(const OverlayScenario& scenario) {
   if (scenario.warm_start_dir.empty()) return false;
   if (!scenario.service_faults.empty()) return false;
-  if (scenario.faults) {
-    if (scenario.faults->has_node_crashes()) return false;
-    if (scenario.faults->jitter_max > 0.0 ||
-        scenario.faults->reorder_probability > 0.0)
-      return false;
-  }
-  return true;
+  return !(scenario.faults && scenario.faults->has_node_crashes());
 }
 
 /// The cell's full identity: every input that shapes the warmup
@@ -355,7 +349,6 @@ WarmOutcome warm_start_phase(sim::ShardedSimulator& sim,
         .count();
   };
 
-  service.enable_checkpointing();
   if (allow_restore) {
     const ckpt::LoadResult lr = ckpt::load_file(path);
     if (lr.ok() &&

@@ -78,9 +78,8 @@ struct OverlayScenario {
   /// the shard count — snapshots restore at any K). A rerun of the same cell restores the snapshot instead
   /// of re-simulating the warmup — bit-identical to the cold run, as
   /// the checkpoint tests pin down. Ignored (silent cold run) for
-  /// configurations outside the checkpoint scope: scheduled service
-  /// faults, node-crash bursts, or a fault plan with multi-stage
-  /// deliveries (jitter/reorder).
+  /// scheduled service faults and node-crash bursts, whose inputs the
+  /// cell hash does not cover.
   std::string warm_start_dir;
 };
 

@@ -23,7 +23,7 @@
 
 namespace ppo::fault {
 
-class FaultInjector {
+class FaultInjector final : public sim::EventHandler {
  public:
   /// Node-crash targets — in practice ChurnDriver::fail_permanently /
   /// revive. fail_node is required; revive_node only when some event
@@ -47,8 +47,14 @@ class FaultInjector {
 
   const Counters& counters() const { return counters_; }
 
+  // --- sim::EventHandler: a victim's crash or revival. Outside the
+  // checkpoint scope (crash bursts stay on the cold path). ---
+  void fire(const sim::Event& event) override;
+  std::uint32_t handler_tag() const override { return 0x46494E4Au; }
+
  private:
   sim::ShardedSimulator& sim_;
+  sim::HandlerId handler_;
   Hooks hooks_;
   std::vector<NodeCrashEvent> node_crashes_;
   bool armed_ = false;

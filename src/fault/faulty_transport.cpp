@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <utility>
 
 #include "common/check.hpp"
@@ -9,15 +10,25 @@
 
 namespace ppo::fault {
 
+namespace {
+
+constexpr std::uint8_t kDelayed = 0;  // a = sender, payload = message
+/// Trailer a copy carries through the inner transport: its extra delay.
+constexpr std::size_t kTrailer = sizeof(double);
+
+}  // namespace
+
 FaultyTransport::FaultyTransport(sim::ShardedSimulator& sim,
                                  privacylink::LinkTransport& inner,
                                  FaultPlan plan, std::size_t num_nodes)
     : sim_(sim),
+      handler_(sim.add_handler(*this)),
       inner_(inner),
       plan_(std::move(plan)),
       link_counts_(num_nodes) {
   plan_.validate();
   PPO_CHECK_MSG(num_nodes > 0, "fault streams need the node count");
+  inner_.set_receiver(*this);
   for (const LinkDropOverride& o : plan_.link_drop_overrides)
     drop_overrides_[link_key(o.from, o.to)] = o.drop_prob;
   if (plan_.gilbert_elliott.enabled()) {
@@ -130,45 +141,67 @@ Rng FaultyTransport::next_link_rng(graph::NodeId from, graph::NodeId to) {
 }
 
 bool FaultyTransport::send_copy(graph::NodeId from, graph::NodeId to,
-                                const sim::EventFn& on_deliver,
-                                const Fate& fate) {
-  PPO_CHECK_MSG(journal_ == nullptr || fate.extra_delay <= 0.0,
-                "checkpointing does not cover two-stage (delayed) "
-                "deliveries; disable jitter/reorder or checkpointing");
+                                sim::Payload message, const Fate& fate) {
   bool accepted;
   if (fate.drop) {
     // The message leaves the sender and dies in the network: the inner
     // transport still does the sender gating and its own accounting,
     // but nothing ever reaches the destination handler.
-    accepted = inner_.send(from, to, [] {});
+    accepted = inner_.send(from, to, {});
     if (accepted && fate.drop_counter != nullptr) {
       fate.drop_counter->fetch_add(1, std::memory_order_relaxed);
       PPO_TRACE_EVENT(ppo::obs::TraceCategory::kTransport, "drop", from,
                       (ppo::obs::TraceArg{"to", static_cast<double>(to)}));
     }
-  } else if (fate.extra_delay > 0.0) {
-    accepted = inner_.send(
-        from, to, [this, delay = fate.extra_delay, fn = on_deliver] {
-          sim_.schedule_after(delay, [this, fn] {
-            delivered_.fetch_add(1, std::memory_order_relaxed);
-            fn();
-          });
-        });
-    if (accepted) counters_.delayed.fetch_add(1, std::memory_order_relaxed);
   } else {
-    accepted = inner_.send(from, to, [this, fn = on_deliver] {
-      delivered_.fetch_add(1, std::memory_order_relaxed);
-      fn();
-    });
+    const auto* delay = reinterpret_cast<const std::uint8_t*>(&fate.extra_delay);
+    message.insert(message.end(), delay, delay + kTrailer);
+    accepted = inner_.send(from, to, std::move(message));
+    if (accepted && fate.extra_delay > 0.0)
+      counters_.delayed.fetch_add(1, std::memory_order_relaxed);
   }
-  if (accepted) {
-    sent_.fetch_add(1, std::memory_order_relaxed);
-    // Annotate the delivery the inner transport just committed: a
-    // dropped copy restores as a payload-free delivery, a delivered
-    // copy needs this wrapper's counter re-wrapped around it.
-    if (journal_ != nullptr) journal_->mark_last(fate.drop, !fate.drop);
-  }
+  if (accepted) sent_.fetch_add(1, std::memory_order_relaxed);
   return accepted;
+}
+
+void FaultyTransport::receive(graph::NodeId from, graph::NodeId to,
+                              std::span<const std::uint8_t> message) {
+  if (message.empty()) return;  // a dropped copy
+  double delay = 0.0;
+  std::memcpy(&delay, message.data() + message.size() - kTrailer, kTrailer);
+  message = message.first(message.size() - kTrailer);
+  if (delay > 0.0) {
+    // The online gate applied at arrival; the held-back copy reaches
+    // the receiver after its delay whatever happens meanwhile.
+    sim_.schedule_after(delay, handler_, kDelayed, from, 0,
+                        sim::Payload(message.begin(), message.end()));
+  } else {
+    deliver(from, to, message);
+  }
+}
+
+bool FaultyTransport::decodable(std::span<const std::uint8_t> message) const {
+  if (message.empty()) return true;
+  if (message.size() < kTrailer) return false;
+  double delay = 0.0;
+  std::memcpy(&delay, message.data() + message.size() - kTrailer, kTrailer);
+  return std::isfinite(delay) && delay >= 0.0 &&
+         receiver_->decodable(message.first(message.size() - kTrailer));
+}
+
+void FaultyTransport::fire(const sim::Event& event) {
+  deliver(static_cast<graph::NodeId>(event.a), event.target, event.payload);
+}
+
+bool FaultyTransport::accepts(const sim::Event& event) const {
+  return event.kind == kDelayed && event.a < link_counts_.size() &&
+         event.b == 0 && receiver_->decodable(event.payload);
+}
+
+void FaultyTransport::deliver(graph::NodeId from, graph::NodeId to,
+                              std::span<const std::uint8_t> message) {
+  delivered_.fetch_add(1, std::memory_order_relaxed);
+  receiver_->receive(from, to, message);
 }
 
 void FaultyTransport::save_state(ckpt::Writer& w) const {
@@ -214,9 +247,13 @@ void FaultyTransport::load_state(ckpt::Reader& r) {
 }
 
 bool FaultyTransport::send(graph::NodeId from, graph::NodeId to,
-                           sim::EventFn on_deliver) {
+                           sim::Payload message) {
+  PPO_CHECK_MSG(receiver_ != nullptr, "transport has no receiver");
   const Fate fate = decide_fate(from, to);
-  const bool accepted = send_copy(from, to, on_deliver, fate);
+  // A duplicate travels with its own bytes.
+  sim::Payload spare;
+  if (plan_.duplicate_probability > 0.0) spare = message;
+  const bool accepted = send_copy(from, to, std::move(message), fate);
   if (accepted && plan_.duplicate_probability > 0.0) {
     // The duplication decision takes a fresh per-link index, like the
     // fates.
@@ -224,7 +261,7 @@ bool FaultyTransport::send(graph::NodeId from, graph::NodeId to,
       counters_.duplicates.fetch_add(1, std::memory_order_relaxed);
       // The copy traverses the network independently: own loss and
       // delay draws, and it counts as one more message on the wire.
-      send_copy(from, to, on_deliver, decide_fate(from, to));
+      send_copy(from, to, std::move(spare), decide_fate(from, to));
     }
   }
   return accepted;

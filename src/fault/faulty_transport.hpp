@@ -14,6 +14,12 @@
 //    derived per (FaultPlan::seed, from, to, link message index), so
 //    a link's fault pattern depends only on its own traffic and is the
 //    same for every shard count.
+//
+// The wrapper interposes as the inner transport's receiver. A copy's
+// fate is decided at send and rides with the message: a dropped copy
+// travels as an empty message, any other copy carries its extra delay
+// as an 8-byte trailer. A delayed copy's second stage is an event of
+// the wrapper's own, so every in-flight copy is checkpointable data.
 #pragma once
 
 #include <atomic>
@@ -23,13 +29,14 @@
 #include "ckpt/io.hpp"
 #include "common/rng.hpp"
 #include "fault/fault_plan.hpp"
-#include "privacylink/delivery_journal.hpp"
 #include "privacylink/link_transport.hpp"
 #include "sim/sharded_simulator.hpp"
 
 namespace ppo::fault {
 
-class FaultyTransport final : public privacylink::LinkTransport {
+class FaultyTransport final : public privacylink::LinkTransport,
+                              public privacylink::LinkReceiver,
+                              public sim::EventHandler {
  public:
   /// Fault-specific accounting, on top of the sent/delivered counters
   /// of the LinkTransport interface.
@@ -46,8 +53,8 @@ class FaultyTransport final : public privacylink::LinkTransport {
     }
   };
 
-  /// `inner` must outlive the wrapper. The plan is validated here.
-  /// `num_nodes` (> 0) bounds sender ids.
+  /// `inner` must outlive the wrapper, which becomes its receiver. The
+  /// plan is validated here. `num_nodes` (> 0) bounds sender ids.
   FaultyTransport(sim::ShardedSimulator& sim,
                   privacylink::LinkTransport& inner, FaultPlan plan,
                   std::size_t num_nodes);
@@ -56,7 +63,7 @@ class FaultyTransport final : public privacylink::LinkTransport {
   /// Returns false exactly when the inner transport refuses the send
   /// (offline sender); fault-dropped messages still count as sent.
   bool send(graph::NodeId from, graph::NodeId to,
-            sim::EventFn on_deliver) override;
+            sim::Payload message) override;
 
   std::uint64_t messages_sent() const override {
     return sent_.load(std::memory_order_relaxed);
@@ -74,29 +81,20 @@ class FaultyTransport final : public privacylink::LinkTransport {
   double drop_probability_on(graph::NodeId from, graph::NodeId to) const;
 
   /// --- checkpoint/restore -------------------------------------------
-  /// While set, each copy's fate annotation lands in the journal next
-  /// to the inner transport's committed delivery. Checkpointing only
-  /// supports plans whose deliveries are single-stage (no jitter or
-  /// reorder extra delay): plan_checkpointable() gates that.
-  void set_journal(privacylink::DeliveryJournal* journal) {
-    journal_ = journal;
-  }
-  bool plan_checkpointable() const {
-    return plan_.jitter_max <= 0.0 && plan_.reorder_probability <= 0.0;
-  }
-
-  /// Wraps a restored payload with this transport's delivery counter
-  /// (the stage the wrapper adds on top of the inner delivery).
-  sim::EventFn wrap_restored(sim::EventFn payload) {
-    return [this, fn = std::move(payload)] {
-      delivered_.fetch_add(1, std::memory_order_relaxed);
-      if (fn) fn();
-    };
-  }
-
   /// Per-link message indices and all counters.
   void save_state(ckpt::Writer& w) const;
   void load_state(ckpt::Reader& r);
+
+  // --- privacylink::LinkReceiver: the first stage, from the inner
+  // transport ---
+  void receive(graph::NodeId from, graph::NodeId to,
+               std::span<const std::uint8_t> message) override;
+  bool decodable(std::span<const std::uint8_t> message) const override;
+
+  // --- sim::EventHandler: one kind, a delayed copy's second stage ---
+  void fire(const sim::Event& event) override;
+  std::uint32_t handler_tag() const override { return 0x464C5459u; }
+  bool accepts(const sim::Event& event) const override;
 
   /// Extra loss the time-varying profiles (Gilbert-Elliott burst
   /// state + diurnal sinusoid) contribute at time t. Read-only: the
@@ -123,10 +121,14 @@ class FaultyTransport final : public privacylink::LinkTransport {
   Rng next_link_rng(graph::NodeId from, graph::NodeId to);
   Fate decide_fate(graph::NodeId from, graph::NodeId to);
   bool send_copy(graph::NodeId from, graph::NodeId to,
-                 const sim::EventFn& on_deliver, const Fate& fate);
+                 sim::Payload message, const Fate& fate);
+  /// Hands a copy that completed its delay to the receiver.
+  void deliver(graph::NodeId from, graph::NodeId to,
+               std::span<const std::uint8_t> message);
   bool in_partition_group(std::size_t partition, graph::NodeId v) const;
 
   sim::ShardedSimulator& sim_;
+  sim::HandlerId handler_;
   privacylink::LinkTransport& inner_;
   FaultPlan plan_;
   /// Per-sender message counters for per-link stream derivation,
@@ -141,7 +143,6 @@ class FaultyTransport final : public privacylink::LinkTransport {
   std::vector<char> ge_bad_;
   /// Per-partition membership masks, indexed like plan_.partitions.
   std::vector<std::vector<char>> partition_masks_;
-  privacylink::DeliveryJournal* journal_ = nullptr;
   AtomicCount sent_{0};
   AtomicCount delivered_{0};
   struct {

@@ -84,8 +84,7 @@ std::uint64_t observation_digest(const std::vector<PseudonymRecord>& set);
 
 /// Everything captured in the SENDER's event context at the send
 /// seam; completed into a record in the receiver's context on
-/// delivery. Plain data so services can move it through the delivery
-/// closure.
+/// delivery. Plain data, so it travels inside the shuffle message.
 struct PendingObservation {
   double time = 0.0;
   NodeId src = 0;

@@ -90,16 +90,17 @@ void OverlayNode::schedule_renewal_alarm() {
   const std::uint64_t epoch = ++renewal_epoch_;
   const double delay = std::max(0.0, own_->expiry - env_.now());
   // Tiny slack so the alarm fires strictly after the expiry instant.
-  env_.schedule(delay + 1e-9, make_renewal_event(epoch));
-  journal_timer(renewal_journal_, env_.now() + delay + 1e-9, epoch);
+  env_.schedule_timer(id_, delay + 1e-9, NodeTimer::kRenewal, epoch);
 }
 
-sim::EventFn OverlayNode::make_renewal_event(std::uint64_t epoch) {
-  return [this, epoch] {
-    if (epoch != renewal_epoch_) return;  // superseded by a newer mint
-    if (online_) ensure_own_pseudonym();
-    // Offline: handle_online re-mints on rejoin.
-  };
+void OverlayNode::fire_timer(NodeTimer timer, std::uint64_t key) {
+  if (timer == NodeTimer::kExchangeTimeout) {
+    handle_exchange_timeout(key);
+    return;
+  }
+  if (key != renewal_epoch_) return;  // superseded by a newer mint
+  if (online_) ensure_own_pseudonym();
+  // Offline: handle_online re-mints on rejoin.
 }
 
 void OverlayNode::handle_online() {
@@ -184,23 +185,8 @@ void OverlayNode::begin_exchange(NodeId target,
 
 void OverlayNode::arm_exchange_timer() {
   if (params_.shuffle_timeout <= 0.0) return;
-  const std::uint64_t id = pending_->id;
-  env_.schedule(pending_->timeout, make_timeout_event(id));
-  journal_timer(exchange_journal_, env_.now() + pending_->timeout, id);
-}
-
-sim::EventFn OverlayNode::make_timeout_event(std::uint64_t exchange_id) {
-  return [this, exchange_id] { handle_exchange_timeout(exchange_id); };
-}
-
-void OverlayNode::journal_timer(std::vector<TimerRecord>& journal,
-                                double fire_time, std::uint64_t key) {
-  // Prune strictly-before now: entries at exactly `now` may still be
-  // pending (run_until is exclusive of its end time).
-  const sim::Time now = env_.now();
-  std::erase_if(journal,
-                [now](const TimerRecord& t) { return t.fire_time < now; });
-  journal.push_back(TimerRecord{fire_time, env_.last_scheduled(), key});
+  env_.schedule_timer(id_, pending_->timeout, NodeTimer::kExchangeTimeout,
+                      pending_->id);
 }
 
 void OverlayNode::handle_exchange_timeout(std::uint64_t exchange_id) {
@@ -407,41 +393,7 @@ std::optional<PseudonymRecord> OverlayNode::own_pseudonym() const {
   return std::nullopt;
 }
 
-namespace {
-
-void write_timer_journal(ckpt::Writer& w,
-                         const std::vector<OverlayNode::TimerRecord>& journal,
-                         sim::Time now) {
-  std::vector<const OverlayNode::TimerRecord*> live;
-  for (const auto& t : journal)
-    if (t.fire_time >= now) live.push_back(&t);
-  w.size(live.size());
-  for (const auto* t : live) {
-    w.f64(t->fire_time);
-    w.u32(t->ticket.origin);
-    w.u64(t->ticket.seq);
-    w.u64(t->key);
-  }
-}
-
-void read_timer_journal(ckpt::Reader& r,
-                        std::vector<OverlayNode::TimerRecord>& journal) {
-  journal.clear();
-  const std::size_t n = r.size();
-  journal.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    OverlayNode::TimerRecord t;
-    t.fire_time = r.f64();
-    t.ticket.origin = r.u32();
-    t.ticket.seq = r.u64();
-    t.key = r.u64();
-    journal.push_back(t);
-  }
-}
-
-}  // namespace
-
-void OverlayNode::save_state(ckpt::Writer& w, sim::Time now) const {
+void OverlayNode::save_state(ckpt::Writer& w) const {
   w.tag(0x4E4F4445u);  // 'NODE'
   w.u32(id_);
   w.size(trusted_.size());
@@ -504,8 +456,6 @@ void OverlayNode::save_state(ckpt::Writer& w, sim::Time now) const {
   w.u64(counters_.stale_responses);
   w.u64(counters_.forged_rejected);
   w.u64(counters_.requests_rate_limited);
-  write_timer_journal(w, renewal_journal_, now);
-  write_timer_journal(w, exchange_journal_, now);
 }
 
 void OverlayNode::load_state(ckpt::Reader& r) {
@@ -590,8 +540,6 @@ void OverlayNode::load_state(ckpt::Reader& r) {
   counters_.stale_responses = r.u64();
   counters_.forged_rejected = r.u64();
   counters_.requests_rate_limited = r.u64();
-  read_timer_journal(r, renewal_journal_);
-  read_timer_journal(r, exchange_journal_);
 }
 
 }  // namespace ppo::overlay

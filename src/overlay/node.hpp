@@ -22,6 +22,10 @@ namespace ppo::overlay {
 
 using privacylink::NodeId;
 
+/// The node's one-shot timers: the key is the renewal epoch or the
+/// exchange id the timer was armed for.
+enum class NodeTimer : std::uint8_t { kRenewal = 0, kExchangeTimeout = 1 };
+
 /// Services the node consumes: messaging, the pseudonym service, and
 /// the simulator clock. Keeps OverlayNode free of global state and
 /// directly unit-testable against a mock environment.
@@ -44,13 +48,10 @@ class NodeEnvironment {
   virtual void send_shuffle_response(NodeId from, NodeId to,
                                      std::vector<PseudonymRecord> set) = 0;
 
-  /// One-shot timer (used for pseudonym-renewal alarms).
-  virtual void schedule(double delay, sim::EventFn fn) = 0;
-
-  /// Ticket of the event the most recent schedule() call registered
-  /// (checkpoint journaling). Environments that do not checkpoint —
-  /// unit-test mocks — keep the default no-op.
-  virtual sim::EventTicket last_scheduled() const { return {}; }
+  /// One-shot timer of `node`: after `delay` the environment calls
+  /// node.fire_timer(timer, key).
+  virtual void schedule_timer(NodeId node, double delay, NodeTimer timer,
+                              std::uint64_t key) = 0;
 };
 
 class OverlayNode {
@@ -110,6 +111,10 @@ class OverlayNode {
   /// pseudonym + cache sample to its far end.
   void shuffle_tick();
 
+  /// A timer armed through NodeEnvironment::schedule_timer came due.
+  /// Stale keys (a newer mint, a finished exchange) are no-ops.
+  void fire_timer(NodeTimer timer, std::uint64_t key);
+
   /// Incoming shuffle traffic (already gated on this node being
   /// online by the transport).
   void handle_shuffle_request(NodeId from,
@@ -149,38 +154,10 @@ class OverlayNode {
   void inject_cache_record(const PseudonymRecord& record);
 
   /// --- checkpoint/restore -------------------------------------------
-  /// One journaled one-shot timer: where it sits in the event queue
-  /// and the closure key (renewal epoch or exchange id) needed to
-  /// rebuild its payload.
-  struct TimerRecord {
-    double fire_time = 0.0;
-    sim::EventTicket ticket;
-    std::uint64_t key = 0;
-  };
-
-  /// Serializes the node's full mutable state, including the pending
-  /// one-shot timers. Journal entries with fire < `now` have already
-  /// fired and are omitted (run_until is exclusive of its end, so a
-  /// timer at exactly `now` is still pending).
-  void save_state(ckpt::Writer& w, sim::Time now) const;
+  /// Serializes the node's full mutable state. Its pending timers are
+  /// events in the simulator's queue, which the service writes.
+  void save_state(ckpt::Writer& w) const;
   void load_state(ckpt::Reader& r);
-
-  /// After load_state: the timers that were pending at save time. The
-  /// owning service re-registers them with
-  /// ShardedSimulator::restore_event, using make_renewal_event /
-  /// make_timeout_event as payloads.
-  const std::vector<TimerRecord>& restored_renewal_timers() const {
-    return renewal_journal_;
-  }
-  const std::vector<TimerRecord>& restored_exchange_timers() const {
-    return exchange_journal_;
-  }
-
-  /// Rebuild the exact closures schedule_renewal_alarm /
-  /// arm_exchange_timer originally registered (stale keys included —
-  /// they must still fire as no-ops to keep the trajectory identical).
-  sim::EventFn make_renewal_event(std::uint64_t epoch);
-  sim::EventFn make_timeout_event(std::uint64_t exchange_id);
 
   /// §III-E-4 extension (requires params.population_estimation):
   /// estimated number of participating nodes = count of distinct live
@@ -282,14 +259,6 @@ class OverlayNode {
     std::uint32_t accepted = 0;
   };
   std::unordered_map<NodeId, RateBucket> request_rate_;
-
-  /// Checkpoint journals of the one-shot timers currently in the
-  /// event queue (stale-keyed entries stay until they fire). Bounded:
-  /// each add prunes entries that have certainly fired.
-  void journal_timer(std::vector<TimerRecord>& journal, double fire_time,
-                     std::uint64_t key);
-  std::vector<TimerRecord> renewal_journal_;
-  std::vector<TimerRecord> exchange_journal_;
 
   Counters counters_;
 };

@@ -1,7 +1,9 @@
 #include "overlay/sharded_service.hpp"
 
 #include <algorithm>
-#include <string>
+#include <cmath>
+#include <cstring>
+#include <type_traits>
 #include <utility>
 
 #include "common/check.hpp"
@@ -21,7 +23,33 @@ constexpr std::uint64_t kTickPhaseStream = 5;
 constexpr std::uint64_t kMixStream = 6;
 constexpr std::uint64_t kMixTransportStream = 7;
 
-constexpr NodeId kNoExternalNode = static_cast<NodeId>(-1);
+/// The service's event kinds; `a` carries a timer's key.
+enum Kind : std::uint8_t { kTick = 0, kRenewal = 1, kExchangeTimeout = 2 };
+
+/// Shuffle-message flags (the first byte on the wire).
+constexpr std::uint8_t kResponseFlag = 1;
+constexpr std::uint8_t kObservedFlag = 2;
+/// An observation on the wire: time, src, src_pseudo, src_expiry,
+/// digest, is_response.
+constexpr std::size_t kObservationBytes = 8 + 4 + 8 + 8 + 8 + 1;
+
+static_assert(std::is_trivially_copyable_v<PseudonymRecord> &&
+                  sizeof(PseudonymRecord) == 16,
+              "shuffle records travel as raw 16-byte values");
+
+template <typename T>
+void put(sim::Payload& out, T value) {
+  const auto* p = reinterpret_cast<const std::uint8_t*>(&value);
+  out.insert(out.end(), p, p + sizeof(T));
+}
+
+template <typename T>
+T get(std::span<const std::uint8_t>& in) {
+  T value{};
+  std::memcpy(&value, in.data(), sizeof(T));
+  in = in.subspan(sizeof(T));
+  return value;
+}
 
 }  // namespace
 
@@ -50,13 +78,13 @@ ShardedOverlayService::ShardedOverlayService(
     std::vector<const churn::ChurnModel*> churn_models,
     OverlayServiceOptions options, std::uint64_t seed)
     : sim_(sim),
+      handler_(sim.add_handler(*this)),
       trust_graph_(trust_graph),
       options_(options),
       seed_(seed),
       pseudonyms_(options_.params.pseudonym_bits),
       churn_(sim, std::move(churn_models),
-             Rng(derive_seed(seed, kChurnStream))),
-      external_node_(kNoExternalNode) {
+             Rng(derive_seed(seed, kChurnStream))) {
   const std::size_t n = trust_graph.num_nodes();
   PPO_CHECK_MSG(n >= 2, "trust graph too small");
   PPO_CHECK_MSG(churn_.num_nodes() == n, "one churn model per node required");
@@ -87,9 +115,12 @@ ShardedOverlayService::ShardedOverlayService(
     transport_ = std::move(bare);
   }
   link_ = transport_.get();
+  transport_->set_receiver(*this);
   if (options_.link_faults && options_.link_faults->enabled()) {
+    // The wrapper interposes as the bare transport's receiver.
     faulty_ = std::make_unique<fault::FaultyTransport>(
         sim, *transport_, *options_.link_faults, n);
+    faulty_->set_receiver(*this);
     link_ = faulty_.get();
   }
   nodes_.reserve(n);
@@ -130,28 +161,16 @@ void ShardedOverlayService::init_adversary() {
 }
 
 churn::ChurnCallbacks ShardedOverlayService::make_churn_callbacks() {
-  // Initial on_online callbacks fire in external context (setup);
-  // later transitions are events targeted at their node. The wrapper
-  // attributes external callbacks so schedule() can route timers.
-  const auto run_as = [this](NodeId v, auto&& fn) {
-    if (sim_.current_shard() == sim::ShardedSimulator::kNoShard) {
-      external_node_ = v;
-      fn();
-      external_node_ = kNoExternalNode;
-    } else {
-      fn();
-    }
-  };
   return churn::ChurnCallbacks{
-      .on_online =
-          [this, run_as](NodeId v) {
-            run_as(v, [this, v] { nodes_[v].handle_online(); });
-          },
-      .on_offline =
-          [this, run_as](NodeId v) {
-            run_as(v, [this, v] { nodes_[v].handle_offline(); });
-          },
+      .on_online = [this](NodeId v) { nodes_[v].handle_online(); },
+      .on_offline = [this](NodeId v) { nodes_[v].handle_offline(); },
   };
+}
+
+double ShardedOverlayService::tick_period(NodeId v) const {
+  // Attack tempo: polluters tick polluter_tick_multiplier× faster.
+  return options_.params.shuffle_period /
+         (engine_ ? engine_->tick_rate_multiplier(v) : 1.0);
 }
 
 void ShardedOverlayService::start() {
@@ -160,19 +179,46 @@ void ShardedOverlayService::start() {
 
   churn_.start(make_churn_callbacks());
 
-  ticks_.reserve(nodes_.size());
   for (NodeId v = 0; v < nodes_.size(); ++v) {
-    // Attack tempo: polluters tick polluter_tick_multiplier× faster.
-    // Phase streams are node-keyed, so the multiplier cannot perturb
-    // any other node's draws.
-    const double period =
-        options_.params.shuffle_period /
-        (engine_ ? engine_->tick_rate_multiplier(v) : 1.0);
+    // Phase streams are node-keyed, so the tick multiplier cannot
+    // perturb any other node's draws. A tick schedules its successor,
+    // so a period of zero would loop at one instant.
+    const double period = tick_period(v);
+    PPO_CHECK_MSG(period > 0.0, "shuffle period must be positive");
     Rng phase_rng(derive_seed(seed_, kTickPhaseStream, v));
     const double phase = phase_rng.uniform_double(0.0, period);
-    ticks_.push_back(sim::PeriodicTask::start(
-        sim_, phase, period, [this, v] { nodes_[v].shuffle_tick(); }, v));
+    sim_.schedule_for(v, phase, handler_, kTick);
   }
+}
+
+void ShardedOverlayService::fire(const sim::Event& event) {
+  const NodeId v = event.target;
+  switch (event.kind) {
+    case kTick:
+      nodes_[v].shuffle_tick();
+      sim_.schedule_for(v, tick_period(v), handler_, kTick);
+      break;
+    case kRenewal:
+      nodes_[v].fire_timer(NodeTimer::kRenewal, event.a);
+      break;
+    default:
+      nodes_[v].fire_timer(NodeTimer::kExchangeTimeout, event.a);
+      break;
+  }
+}
+
+bool ShardedOverlayService::accepts(const sim::Event& event) const {
+  return event.kind <= kExchangeTimeout &&
+         (event.kind != kTick || event.a == 0) && event.b == 0 &&
+         event.payload.empty();
+}
+
+void ShardedOverlayService::schedule_timer(NodeId node, double delay,
+                                           NodeTimer timer,
+                                           std::uint64_t key) {
+  sim_.schedule_for(node, delay, handler_,
+                    timer == NodeTimer::kRenewal ? kRenewal : kExchangeTimeout,
+                    key);
 }
 
 PseudonymRecord ShardedOverlayService::mint_pseudonym(NodeId owner,
@@ -242,50 +288,20 @@ std::optional<NodeId> ShardedOverlayService::resolve(PseudonymValue value) {
 
 void ShardedOverlayService::send_shuffle_request(
     NodeId from, NodeId to, std::vector<PseudonymRecord> set) {
-  if (engine_) {
-    const auto verdict =
-        engine_->transform_outgoing(from, sim_.now(), /*is_response=*/false,
-                                    set);
-    for (const PseudonymRecord& record : verdict.to_register) {
-      const std::size_t shard = sim_.current_shard();
-      if (shard == sim::ShardedSimulator::kNoShard) {
-        pseudonyms_.try_register_minted(from, record, sim_.now());
-      } else {
-        pending_adversary_mints_[shard].push_back(PendingMint{from, record});
-      }
-    }
-    if (verdict.suppress) return;
-    to = engine_->redirect_request_target(from, to);
-  }
-  // Sender-context capture (reads only the sender's own state), then
-  // receiver-context completion inside the delivery event: each
-  // observation lands in the destination node's buffer, touched only
-  // from that node's shard — the K-invariance contract.
-  std::optional<inference::PendingObservation> observed;
-  if (observer_)
-    observed = observer_->capture(from, to, sim_.now(),
-                                  /*is_response=*/false,
-                                  nodes_[from].own_pseudonym(), set);
-  if (journal_)
-    journal_->stage(encode_delivery(/*is_response=*/false, from, to, set,
-                                    observed),
-                    from, to);
-  link_->send(from, to, [this, from, to, set = std::move(set),
-                         observed = std::move(observed)] {
-    if (engine_) engine_->observe_received(to, set);
-    if (observed)
-      observer_->deliver(*observed, to, nodes_[to].own_pseudonym());
-    nodes_[to].handle_shuffle_request(from, set);
-  });
-  if (journal_) journal_->finish_send();
+  send_shuffle(from, to, /*is_response=*/false, set);
 }
 
 void ShardedOverlayService::send_shuffle_response(
     NodeId from, NodeId to, std::vector<PseudonymRecord> set) {
+  send_shuffle(from, to, /*is_response=*/true, set);
+}
+
+void ShardedOverlayService::send_shuffle(NodeId from, NodeId to,
+                                         bool is_response,
+                                         std::vector<PseudonymRecord>& set) {
   if (engine_) {
     const auto verdict =
-        engine_->transform_outgoing(from, sim_.now(), /*is_response=*/true,
-                                    set);
+        engine_->transform_outgoing(from, sim_.now(), is_response, set);
     for (const PseudonymRecord& record : verdict.to_register) {
       const std::size_t shard = sim_.current_shard();
       if (shard == sim::ShardedSimulator::kNoShard) {
@@ -294,35 +310,99 @@ void ShardedOverlayService::send_shuffle_response(
         pending_adversary_mints_[shard].push_back(PendingMint{from, record});
       }
     }
-    if (verdict.suppress) return;  // defector swallows the response
+    // A suppressed send never leaves; a polluter's request may be
+    // redirected.
+    if (verdict.suppress) return;
+    if (!is_response) to = engine_->redirect_request_target(from, to);
   }
+  // Sender-context capture (reads only the sender's own state), then
+  // receiver-context completion at delivery: each observation lands in
+  // the destination node's buffer, touched only from that node's shard
+  // — the K-invariance contract.
   std::optional<inference::PendingObservation> observed;
   if (observer_)
-    observed = observer_->capture(from, to, sim_.now(),
-                                  /*is_response=*/true,
+    observed = observer_->capture(from, to, sim_.now(), is_response,
                                   nodes_[from].own_pseudonym(), set);
-  if (journal_)
-    journal_->stage(encode_delivery(/*is_response=*/true, from, to, set,
-                                    observed),
-                    from, to);
-  link_->send(from, to, [this, to, set = std::move(set),
-                         observed = std::move(observed)] {
-    if (engine_) engine_->observe_received(to, set);
-    if (observed)
-      observer_->deliver(*observed, to, nodes_[to].own_pseudonym());
-    nodes_[to].handle_shuffle_response(set);
-  });
-  if (journal_) journal_->finish_send();
+  link_->send(from, to, encode_message(is_response, set, observed));
 }
 
-void ShardedOverlayService::schedule(double delay, sim::EventFn fn) {
-  if (sim_.current_shard() == sim::ShardedSimulator::kNoShard) {
-    PPO_CHECK_MSG(external_node_ != kNoExternalNode,
-                  "external timer without a node to attribute it to");
-    sim_.schedule_for(external_node_, delay, std::move(fn));
-  } else {
-    sim_.schedule_after(delay, std::move(fn));
+sim::Payload ShardedOverlayService::encode_message(
+    bool is_response, const std::vector<PseudonymRecord>& set,
+    const std::optional<inference::PendingObservation>& observed) const {
+  const std::size_t records = set.size() * sizeof(PseudonymRecord);
+  sim::Payload out;
+  out.reserve(1 + (observed ? kObservationBytes : 0) + records +
+              privacylink::kLinkTrailerReserve);
+  out.push_back(static_cast<std::uint8_t>((is_response ? kResponseFlag : 0) |
+                                          (observed ? kObservedFlag : 0)));
+  if (observed) {
+    put(out, observed->time);
+    put(out, observed->src);
+    put(out, observed->src_pseudo);
+    put(out, observed->src_expiry);
+    put(out, observed->digest);
+    put(out, static_cast<std::uint8_t>(observed->is_response ? 1 : 0));
   }
+  const auto* raw = reinterpret_cast<const std::uint8_t*>(set.data());
+  out.insert(out.end(), raw, raw + records);
+  return out;
+}
+
+bool ShardedOverlayService::decode_message(
+    std::span<const std::uint8_t> message, bool& is_response,
+    std::vector<PseudonymRecord>& set,
+    std::optional<inference::PendingObservation>& observed) const {
+  if (message.empty()) return false;
+  const std::uint8_t flags = get<std::uint8_t>(message);
+  if (flags > (kResponseFlag | kObservedFlag)) return false;
+  is_response = (flags & kResponseFlag) != 0;
+  observed.reset();
+  if ((flags & kObservedFlag) != 0) {
+    if (!observer_ || message.size() < kObservationBytes) return false;
+    inference::PendingObservation p;
+    p.time = get<double>(message);
+    p.src = get<NodeId>(message);
+    p.src_pseudo = get<PseudonymValue>(message);
+    p.src_expiry = get<double>(message);
+    p.digest = get<std::uint64_t>(message);
+    const std::uint8_t response = get<std::uint8_t>(message);
+    if (!std::isfinite(p.time) || !std::isfinite(p.src_expiry) ||
+        p.src >= nodes_.size() || response > 1)
+      return false;
+    p.is_response = response != 0;
+    observed = p;
+  }
+  if (message.size() % sizeof(PseudonymRecord) != 0) return false;
+  set.resize(message.size() / sizeof(PseudonymRecord));
+  if (!set.empty()) std::memcpy(set.data(), message.data(), message.size());
+  for (const PseudonymRecord& record : set)
+    if (!std::isfinite(record.expiry)) return false;
+  return true;
+}
+
+void ShardedOverlayService::receive(NodeId from, NodeId to,
+                                    std::span<const std::uint8_t> message) {
+  // Decoded once, into this thread's scratch: a delivery never runs
+  // inside another, so the scratch is free whenever one starts.
+  thread_local std::vector<PseudonymRecord> set;
+  bool is_response = false;
+  std::optional<inference::PendingObservation> observed;
+  PPO_CHECK_MSG(decode_message(message, is_response, set, observed),
+                "malformed shuffle message");
+  if (engine_) engine_->observe_received(to, set);
+  if (observed) observer_->deliver(*observed, to, nodes_[to].own_pseudonym());
+  if (is_response)
+    nodes_[to].handle_shuffle_response(set);
+  else
+    nodes_[to].handle_shuffle_request(from, set);
+}
+
+bool ShardedOverlayService::decodable(
+    std::span<const std::uint8_t> message) const {
+  bool is_response = false;
+  std::vector<PseudonymRecord> set;
+  std::optional<inference::PendingObservation> observed;
+  return decode_message(message, is_response, set, observed);
 }
 
 graph::Graph ShardedOverlayService::overlay_snapshot() const {
@@ -413,100 +493,24 @@ std::uint64_t ShardedOverlayService::count_eclipsed_slots() const {
 }
 
 void ShardedOverlayService::enable_checkpointing() {
-  if (journal_) return;
   PPO_CHECK_MSG(checkpointable(),
-                "configuration not checkpointable: mix transport or a "
-                "two-stage (jitter/reorder) fault plan is enabled");
-  journal_ = std::make_unique<privacylink::DeliveryJournal>(
-      sim_.num_shards(), [this] {
-        const std::size_t s = sim_.current_shard();
-        return s == sim::ShardedSimulator::kNoShard ? 0 : s;
-      });
-  bare_->set_journal(journal_.get());
-  if (faulty_) faulty_->set_journal(journal_.get());
-}
-
-std::string ShardedOverlayService::encode_delivery(
-    bool is_response, NodeId from, NodeId to,
-    const std::vector<PseudonymRecord>& set,
-    const std::optional<inference::PendingObservation>& observed) const {
-  ckpt::Writer w;
-  w.u8(is_response ? 1 : 0);
-  w.u32(from);
-  w.u32(to);
-  w.size(set.size());
-  for (const auto& record : set) {
-    w.u64(record.value);
-    w.f64(record.expiry);
-  }
-  w.b(observed.has_value());
-  if (observed) {
-    w.f64(observed->time);
-    w.u32(observed->src);
-    w.u64(observed->src_pseudo);
-    w.f64(observed->src_expiry);
-    w.u64(observed->digest);
-    w.b(observed->is_response);
-  }
-  return w.take();
-}
-
-sim::EventFn ShardedOverlayService::decode_delivery(const std::string& blob) {
-  ckpt::Reader r(blob);
-  const bool is_response = r.u8() != 0;
-  const NodeId from = r.u32();
-  const NodeId to = r.u32();
-  if (to >= nodes_.size()) throw ckpt::ParseError("delivery target range");
-  std::vector<PseudonymRecord> set(r.size());
-  for (auto& record : set) {
-    record.value = r.u64();
-    record.expiry = r.f64();
-  }
-  std::optional<inference::PendingObservation> observed;
-  if (r.b()) {
-    if (!observer_) throw ckpt::ParseError("observation without observer");
-    inference::PendingObservation p;
-    p.time = r.f64();
-    p.src = r.u32();
-    p.src_pseudo = r.u64();
-    p.src_expiry = r.f64();
-    p.digest = r.u64();
-    p.is_response = r.b();
-    observed = p;
-  }
-  r.done();
-  if (is_response) {
-    return [this, to, set = std::move(set), observed = std::move(observed)] {
-      if (engine_) engine_->observe_received(to, set);
-      if (observed)
-        observer_->deliver(*observed, to, nodes_[to].own_pseudonym());
-      nodes_[to].handle_shuffle_response(set);
-    };
-  }
-  return [this, from, to, set = std::move(set),
-          observed = std::move(observed)] {
-    if (engine_) engine_->observe_received(to, set);
-    if (observed)
-      observer_->deliver(*observed, to, nodes_[to].own_pseudonym());
-    nodes_[to].handle_shuffle_request(from, set);
-  };
+                "configuration not checkpointable: mix transport enabled");
 }
 
 void ShardedOverlayService::save_checkpoint(ckpt::Writer& w) const {
   PPO_CHECK_MSG(started_, "checkpoint requires a started service");
-  PPO_CHECK_MSG(journal_ != nullptr,
-                "enable_checkpointing() before save_checkpoint()");
+  PPO_CHECK_MSG(checkpointable(),
+                "configuration not checkpointable: mix transport enabled");
   for (const auto& mints : pending_mints_)
     PPO_CHECK_MSG(mints.empty(),
                   "checkpoint with unpublished mints — not at a barrier");
   for (const auto& mints : pending_adversary_mints_)
     PPO_CHECK_MSG(mints.empty(),
                   "checkpoint with unpublished adversary mints");
-  const sim::Time now = sim_.now();
   w.tag(0x53485256u);  // 'SHRV'
   // Simulator core: clock, executed-event count, per-actor + external
   // sequence counters (actor-keyed, hence K-portable).
-  w.f64(now);
+  w.f64(sim_.now());
   w.u64(sim_.events_executed());
   w.u64_vec(sim_.actor_seqs());
   w.u64(sim_.external_seq());
@@ -522,36 +526,18 @@ void ShardedOverlayService::save_checkpoint(ckpt::Writer& w) const {
   if (observer_) observer_->save_state(w);
   w.size(mint_rngs_.size());
   for (const Rng& rng : mint_rngs_) w.rng(rng);
-  w.size(ticks_.size());
-  for (const sim::PeriodicTask& tick : ticks_) {
-    w.f64(tick.next_fire());
-    w.u32(tick.ticket().origin);
-    w.u64(tick.ticket().seq);
-  }
-  // Per-node protocol state, one-shot timers included. run_until is
-  // exclusive of its end time: timers at exactly t == now are still
-  // pending.
   w.size(nodes_.size());
-  for (const OverlayNode& node : nodes_) node.save_state(w, now);
-  const auto entries = journal_->collect(now);
-  w.size(entries.size());
-  for (const auto& e : entries) {
-    w.u32(e.from);
-    w.u32(e.to);
-    w.f64(e.fire_time);
-    w.u32(e.ticket.origin);
-    w.u64(e.ticket.seq);
-    w.b(e.dropped);
-    w.b(e.faulty);
-    w.str(e.payload);
-  }
+  for (const OverlayNode& node : nodes_) node.save_state(w);
+  // Last, the queue section: ticks, timers, churn transitions and
+  // in-flight messages are all pending events.
+  sim_.save_events(w);
 }
 
 void ShardedOverlayService::restore_from_checkpoint(ckpt::Reader& r) {
   PPO_CHECK_MSG(!started_,
                 "restore_from_checkpoint replaces start() on a fresh service");
-  PPO_CHECK_MSG(journal_ != nullptr,
-                "enable_checkpointing() before restore_from_checkpoint()");
+  PPO_CHECK_MSG(checkpointable(),
+                "configuration not checkpointable: mix transport enabled");
   r.tag(0x53485256u);
   const double now = r.f64();
   const std::uint64_t executed = r.u64();
@@ -575,56 +561,11 @@ void ShardedOverlayService::restore_from_checkpoint(ckpt::Reader& r) {
     throw ckpt::ParseError("mint stream count mismatch");
   for (Rng& rng : mint_rngs_) rng = r.rng();
   if (r.size() != nodes_.size())
-    throw ckpt::ParseError("tick count mismatch");
-  ticks_.clear();
-  ticks_.reserve(nodes_.size());
-  for (NodeId v = 0; v < nodes_.size(); ++v) {
-    const double next_fire = r.f64();
-    sim::EventTicket ticket;
-    ticket.origin = r.u32();
-    ticket.seq = r.u64();
-    const double period =
-        options_.params.shuffle_period /
-        (engine_ ? engine_->tick_rate_multiplier(v) : 1.0);
-    ticks_.push_back(sim::PeriodicTask::restore(
-        sim_, next_fire, ticket, period,
-        [this, v] { nodes_[v].shuffle_tick(); }, v));
-  }
-  if (r.size() != nodes_.size())
     throw ckpt::ParseError("node count mismatch");
-  for (NodeId v = 0; v < nodes_.size(); ++v) {
-    nodes_[v].load_state(r);
-    for (const auto& t : nodes_[v].restored_renewal_timers())
-      sim_.restore_event(t.fire_time, t.ticket, v,
-                         nodes_[v].make_renewal_event(t.key));
-    for (const auto& t : nodes_[v].restored_exchange_timers())
-      sim_.restore_event(t.fire_time, t.ticket, v,
-                         nodes_[v].make_timeout_event(t.key));
-  }
-  const std::size_t in_flight = r.size();
-  for (std::size_t i = 0; i < in_flight; ++i) {
-    privacylink::DeliveryJournal::Entry e;
-    e.from = r.u32();
-    e.to = r.u32();
-    e.fire_time = r.f64();
-    e.ticket.origin = r.u32();
-    e.ticket.seq = r.u64();
-    e.dropped = r.b();
-    e.faulty = r.b();
-    e.payload = r.str();
-    sim::EventFn payload;
-    if (!e.dropped) {
-      payload = decode_delivery(e.payload);
-      if (e.faulty) {
-        if (!faulty_)
-          throw ckpt::ParseError("fault-wrapped delivery without fault plan");
-        payload = faulty_->wrap_restored(std::move(payload));
-      }
-    }
-    bare_->restore_delivery(e.to, e.fire_time, e.ticket, std::move(payload));
-    journal_->restore_entry(std::move(e));
-  }
-  churn_.restore_start(make_churn_callbacks());
+  for (OverlayNode& node : nodes_) node.load_state(r);
+  sim_.load_events(r);
+  if (!r.done()) throw ckpt::ParseError("trailing bytes after the queue");
+  churn_.resume(make_churn_callbacks());
   started_ = true;
 }
 

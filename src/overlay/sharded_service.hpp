@@ -52,7 +52,6 @@
 #include "privacylink/mix_transport.hpp"
 #include "privacylink/pseudonym_service.hpp"
 #include "privacylink/transport.hpp"
-#include "sim/periodic.hpp"
 #include "sim/sharded_simulator.hpp"
 
 namespace ppo::overlay {
@@ -102,7 +101,9 @@ sim::ShardedSimulator::Options simulator_options(
     const OverlayServiceOptions& options, std::size_t nodes,
     std::size_t shards = 1);
 
-class ShardedOverlayService final : public NodeEnvironment {
+class ShardedOverlayService final : public NodeEnvironment,
+                                    public privacylink::LinkReceiver,
+                                    public sim::EventHandler {
  public:
   /// `sim.num_actors()` must equal the trust graph's node count.
   /// Mix mode additionally requires min_hop_latency to clear the
@@ -118,7 +119,8 @@ class ShardedOverlayService final : public NodeEnvironment {
                         OverlayServiceOptions options, std::uint64_t seed);
 
   /// Samples initial online states and schedules churn + shuffle
-  /// ticks. Each node's tick phase comes from its own derived stream.
+  /// ticks. Each node's tick phase comes from its own derived stream;
+  /// the shuffle period must be positive.
   void start();
 
   // --- NodeEnvironment ---
@@ -132,13 +134,18 @@ class ShardedOverlayService final : public NodeEnvironment {
                             std::vector<PseudonymRecord> set) override;
   void send_shuffle_response(NodeId from, NodeId to,
                              std::vector<PseudonymRecord> set) override;
-  void schedule(double delay, sim::EventFn fn) override;
-  /// Real ticket of the most recent schedule() (timer journaling —
-  /// restored one-shot timers must keep their original (origin, seq)
-  /// so ties at equal fire time replay in the original order).
-  sim::EventTicket last_scheduled() const override {
-    return sim_.last_ticket();
-  }
+  void schedule_timer(NodeId node, double delay, NodeTimer timer,
+                      std::uint64_t key) override;
+
+  // --- privacylink::LinkReceiver: a shuffle message arriving ---
+  void receive(NodeId from, NodeId to,
+               std::span<const std::uint8_t> message) override;
+  bool decodable(std::span<const std::uint8_t> message) const override;
+
+  // --- sim::EventHandler: shuffle ticks and the nodes' timers ---
+  void fire(const sim::Event& event) override;
+  std::uint32_t handler_tag() const override { return 0x53485256u; }
+  bool accepts(const sim::Event& event) const override;
 
   /// Pseudonym-service blackouts: install the full schedule before
   /// running the simulation. While any window contains now(),
@@ -218,40 +225,33 @@ class ShardedOverlayService final : public NodeEnvironment {
 
   /// --- checkpoint/restore -------------------------------------------
   /// True when this configuration's full state can be snapshotted:
-  /// ideal transport only (no mix network), and a fault plan whose
-  /// deliveries are single-stage (no jitter/reorder).
-  bool checkpointable() const {
-    return !options_.use_mix_network &&
-           (faulty_ == nullptr || faulty_->plan_checkpointable());
-  }
+  /// every configuration but mix mode, whose onion hops are not
+  /// restored.
+  bool checkpointable() const { return !options_.use_mix_network; }
 
-  /// Arms the in-flight delivery journal on the transport stack. Must
-  /// be called before start() (or restore_from_checkpoint()); aborts
-  /// when !checkpointable().
+  /// Refuses mix mode; nothing else to arm, since every pending event
+  /// is data the snapshot writes.
   void enable_checkpointing();
 
   /// Serializes the complete mutable state (clock, sequence counters,
-  /// every RNG stream, node hot state, pending timers and in-flight
-  /// messages). Call only at the quiescent point after run_until
-  /// returned: all mailboxes drained, no window in flight, pending
-  /// mint buffers published at the last barrier. Requires
-  /// enable_checkpointing().
+  /// every RNG stream, node hot state), then the simulator's pending
+  /// events — ticks, timers, churn transitions and in-flight messages
+  /// alike. Call only at the quiescent point after run_until returned:
+  /// all mailboxes drained, no window in flight, pending mint buffers
+  /// published at the last barrier. Refuses mix mode.
   void save_checkpoint(ckpt::Writer& w) const;
 
   /// Counterpart: call INSTEAD of start() on a freshly constructed
-  /// service over the same graph/options/seed, after
-  /// enable_checkpointing(). Re-registers every pending event under
-  /// its original canonical key, so the snapshot restores at any
-  /// shard count. The resumed run must slice run_until calls exactly
-  /// like the original (lockstep windows re-anchor per call). Throws
-  /// ckpt::ParseError on any inconsistency.
+  /// service over the same graph/options/seed. Pushes every pending
+  /// event back under its original canonical key, so the snapshot
+  /// restores at any shard count. The resumed run must slice run_until
+  /// calls exactly like the original (lockstep windows re-anchor per
+  /// call). Throws ckpt::ParseError on any inconsistency; refuses mix
+  /// mode.
   void restore_from_checkpoint(ckpt::Reader& r);
 
-  /// Drops journal entries whose deliveries have already executed
-  /// (bounds memory on long runs; call between windows).
-  void prune_checkpoint_journal() {
-    if (journal_) journal_->prune(sim_.now());
-  }
+  /// Nothing to prune since the event queue became the checkpoint.
+  void prune_checkpoint_journal() {}
 
  private:
   struct PendingMint {
@@ -275,18 +275,29 @@ class ShardedOverlayService final : public NodeEnvironment {
   /// (the eclipse-capture measure; 0 without an engine).
   std::uint64_t count_eclipsed_slots() const;
 
-  /// Serializes everything a delivery closure needs so it can be
-  /// rebuilt after a restore (checkpoint journal payload recipe).
-  std::string encode_delivery(
-      bool is_response, NodeId from, NodeId to,
-      const std::vector<PseudonymRecord>& set,
+  /// Period of `v`'s shuffle ticks (polluters tick faster).
+  double tick_period(NodeId v) const;
+
+  /// Applies the send seams (adversary, observer) and ships `set`.
+  void send_shuffle(NodeId from, NodeId to, bool is_response,
+                    std::vector<PseudonymRecord>& set);
+
+  /// A shuffle message on the wire: flags, the observer's pending
+  /// observation when it saw the send, then the records as raw bytes.
+  sim::Payload encode_message(
+      bool is_response, const std::vector<PseudonymRecord>& set,
       const std::optional<inference::PendingObservation>& observed) const;
-  sim::EventFn decode_delivery(const std::string& blob);
+  /// Decodes into `set`; false when `message` is malformed.
+  bool decode_message(
+      std::span<const std::uint8_t> message, bool& is_response,
+      std::vector<PseudonymRecord>& set,
+      std::optional<inference::PendingObservation>& observed) const;
 
   /// Installs the churn callbacks (start() and the restore path).
   churn::ChurnCallbacks make_churn_callbacks();
 
   sim::ShardedSimulator& sim_;
+  sim::HandlerId handler_;
   graph::Graph trust_graph_;
   OverlayServiceOptions options_;
   std::uint64_t seed_;
@@ -299,7 +310,6 @@ class ShardedOverlayService final : public NodeEnvironment {
   /// Typed view of transport_ in ideal-transport mode (checkpointing;
   /// null in mix mode).
   privacylink::Transport* bare_ = nullptr;
-  std::unique_ptr<privacylink::DeliveryJournal> journal_;
   /// Backs every node's hot state (cache entries, sampler slot
   /// arrays, pending-exchange blocks). Declared before nodes_ so it
   /// outlives them. Touched only at node construction, before any
@@ -309,7 +319,6 @@ class ShardedOverlayService final : public NodeEnvironment {
   /// Per-node pseudonym-value streams (derive_seed tag 4): a node's
   /// mint sequence is a function of its own mints alone.
   std::vector<Rng> mint_rngs_;
-  std::vector<sim::PeriodicTask> ticks_;
   /// Freshly minted records per shard, published at the barrier.
   std::vector<std::vector<PendingMint>> pending_mints_;
   /// Adversary-minted (eclipse) records per shard; published at the
@@ -319,9 +328,6 @@ class ShardedOverlayService final : public NodeEnvironment {
   std::vector<fault::Window> pseudonym_blackouts_;
   std::unique_ptr<adversary::AdversaryEngine> engine_;  // optional
   std::unique_ptr<inference::ObserverAdversary> observer_;  // optional
-  /// Node whose callback is running while in external context (start
-  /// / churn-callback bootstrap), so schedule() can attribute timers.
-  NodeId external_node_ = privacylink::NodeId(-1);
   /// Memoized overlay-edge enumeration (overlay_edges()); touched
   /// only between windows, never by shard workers.
   OverlayEdgeView edge_view_;

@@ -1,6 +1,8 @@
 #include "privacylink/mix_network.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 
 #include "common/check.hpp"
 #include "crypto/sha256.hpp"
@@ -8,6 +10,12 @@
 namespace ppo::privacylink {
 
 namespace {
+
+enum Kind : std::uint8_t {
+  kHop = 0,   // a = relay, b = delivery actor, payload = rng state + onion
+  kExit = 1,  // a = sending actor, payload = the delivered payload
+};
+constexpr std::size_t kRngBytes = 4 * sizeof(std::uint64_t);
 
 crypto::X25519Key random_key(Rng& rng) {
   crypto::X25519Key k{};
@@ -29,7 +37,8 @@ std::uint64_t message_fingerprint(crypto::BytesView message) {
 }  // namespace
 
 MixNetwork::MixNetwork(sim::ShardedSimulator& sim, MixOptions options, Rng rng)
-    : sim_(sim), options_(options), rng_(rng) {
+    : sim_(sim), handler_(sim.add_handler(*this)), options_(options),
+      rng_(rng) {
   PPO_CHECK_MSG(options_.num_relays >= 1, "mix needs at least one relay");
   relays_.reserve(options_.num_relays);
   for (std::size_t i = 0; i < options_.num_relays; ++i)
@@ -63,10 +72,11 @@ double MixNetwork::hop_latency(Rng& rng) const {
                             options_.max_hop_latency);
 }
 
-void MixNetwork::send(const std::vector<RelayId>& route, crypto::Bytes payload,
-                      std::function<void(crypto::Bytes)> deliver, Rng& rng,
+void MixNetwork::send(const std::vector<RelayId>& route,
+                      crypto::BytesView payload, Rng& rng,
                       sim::ActorId sender, sim::ActorId recipient) {
   PPO_CHECK_MSG(!route.empty(), "empty mix route");
+  PPO_CHECK_MSG(receiver_ != nullptr, "mix network has no receiver");
   std::vector<HopSpec> hops;
   hops.reserve(route.size());
   for (std::size_t i = 0; i < route.size(); ++i) {
@@ -74,32 +84,52 @@ void MixNetwork::send(const std::vector<RelayId>& route, crypto::Bytes payload,
     const RelayId next = (i + 1 < route.size()) ? route[i + 1] : kFinalHop;
     hops.push_back(HopSpec{next, relays_[route[i]].keys.public_key});
   }
-  crypto::Bytes wrapped = onion_wrap(
-      hops, crypto::BytesView(payload.data(), payload.size()), rng);
+  const crypto::Bytes wrapped = onion_wrap(hops, payload, rng);
   // One caller-stream draw seeds every hop latency of this message:
   // the whole trajectory is a function of the sender's send sequence.
   Rng msg_rng(rng.next_u64());
   const double entry_latency = hop_latency(msg_rng);
-  sim_.schedule_for(sender, entry_latency,
-                    [this, entry = route.front(), msg = std::move(wrapped),
-                     deliver = std::move(deliver), msg_rng,
-                     recipient]() mutable {
-                      forward(entry, std::move(msg), std::move(deliver),
-                              msg_rng, recipient);
-                    });
+  schedule_hop(sender, entry_latency, route.front(), msg_rng, wrapped,
+               recipient);
 }
 
-void MixNetwork::forward(RelayId relay, crypto::Bytes message,
-                         std::function<void(crypto::Bytes)> deliver,
-                         Rng msg_rng, sim::ActorId deliver_actor) {
+void MixNetwork::schedule_hop(sim::ActorId actor, double delay,
+                              RelayId relay, const Rng& msg_rng,
+                              crypto::BytesView message,
+                              sim::ActorId deliver_actor) {
+  sim::Payload payload(kRngBytes + message.size());
+  const std::array<std::uint64_t, 4> state = msg_rng.state();
+  std::memcpy(payload.data(), state.data(), kRngBytes);
+  std::copy(message.begin(), message.end(), payload.begin() + kRngBytes);
+  sim_.schedule_for(actor, delay, handler_, kHop, relay, deliver_actor,
+                    std::move(payload));
+}
+
+void MixNetwork::fire(const sim::Event& event) {
+  if (event.kind == kExit) {
+    receiver_->receive(static_cast<graph::NodeId>(event.a), event.target,
+                       event.payload);
+    return;
+  }
+  std::array<std::uint64_t, 4> state{};
+  std::memcpy(state.data(), event.payload.data(), kRngBytes);
+  Rng msg_rng(0);
+  msg_rng.set_state(state);
+  forward(static_cast<RelayId>(event.a),
+          crypto::BytesView(event.payload).subspan(kRngBytes), msg_rng,
+          event.target, static_cast<sim::ActorId>(event.b));
+}
+
+void MixNetwork::forward(RelayId relay, crypto::BytesView message,
+                         Rng msg_rng, sim::ActorId sender,
+                         sim::ActorId deliver_actor) {
   Relay& r = relays_[relay];
   if (!alive_at(r, sim_.now())) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   if (options_.replay_protection) {
-    const std::uint64_t fp =
-        message_fingerprint(crypto::BytesView(message.data(), message.size()));
+    const std::uint64_t fp = message_fingerprint(message);
     bool replay;
     {
       const std::lock_guard<std::mutex> lock(seen_mutex_);
@@ -112,8 +142,7 @@ void MixNetwork::forward(RelayId relay, crypto::Bytes message,
       return;
     }
   }
-  const auto layer = onion_unwrap(
-      r.keys.private_key, crypto::BytesView(message.data(), message.size()));
+  auto layer = onion_unwrap(r.keys.private_key, message);
   if (!layer) {  // tampered or malformed: drop silently
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
@@ -121,43 +150,27 @@ void MixNetwork::forward(RelayId relay, crypto::Bytes message,
   forwarded_.fetch_add(1, std::memory_order_relaxed);
   const double latency = hop_latency(msg_rng);
   if (layer->next_hop == kFinalHop) {
-    crypto::Bytes payload = layer->inner;
-    auto deliver_fn = [deliver = std::move(deliver),
-                       payload = std::move(payload)]() mutable {
-      deliver(std::move(payload));
-    };
     // The exit hop is the only shard crossing: relay hops stay on the
     // sender's shard, the delivery belongs to the destination actor.
-    sim_.schedule_for(deliver_actor, latency, std::move(deliver_fn));
+    sim_.schedule_for(deliver_actor, latency, handler_, kExit, sender, 0,
+                      std::move(layer->inner));
     return;
   }
   if (layer->next_hop >= relays_.size()) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  crypto::Bytes inner = layer->inner;
-  const RelayId next = layer->next_hop;
-  sim_.schedule_after(latency,
-                      [this, next, inner = std::move(inner),
-                       deliver = std::move(deliver), msg_rng,
-                       deliver_actor]() mutable {
-                        forward(next, std::move(inner), std::move(deliver),
-                                msg_rng, deliver_actor);
-                      });
+  schedule_hop(sender, latency, layer->next_hop, msg_rng, layer->inner,
+               deliver_actor);
 }
 
-void MixNetwork::inject(RelayId relay, crypto::Bytes message,
-                        std::function<void(crypto::Bytes)> deliver,
+void MixNetwork::inject(RelayId relay, crypto::BytesView message,
                         sim::ActorId actor) {
   PPO_CHECK_MSG(relay < relays_.size(), "relay id out of range");
+  PPO_CHECK_MSG(receiver_ != nullptr, "mix network has no receiver");
   Rng msg_rng(rng_.next_u64());
   const double latency = hop_latency(msg_rng);
-  sim_.schedule_for(actor, latency,
-                    [this, relay, msg = std::move(message),
-                     deliver = std::move(deliver), msg_rng, actor]() mutable {
-                      forward(relay, std::move(msg), std::move(deliver),
-                              msg_rng, actor);
-                    });
+  schedule_hop(actor, latency, relay, msg_rng, message, actor);
 }
 
 void MixNetwork::schedule_crash(RelayId r, double crash_at, double revive_at) {

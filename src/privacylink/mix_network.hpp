@@ -13,15 +13,20 @@
 // blocking is order-independent: however two copies interleave, the
 // second sees the first's fingerprint). Relay crashes are data
 // (schedule_crash windows, read-only while events run), not events.
+//
+// Every hop is an event of the network's own, carrying the message's
+// latency stream and the onion bytes; the exit hands the payload to
+// the network's receiver. Mix mode is outside the checkpoint scope.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "privacylink/link_transport.hpp"
 #include "privacylink/onion.hpp"
 #include "sim/sharded_simulator.hpp"
 
@@ -37,9 +42,14 @@ struct MixOptions {
   bool replay_protection = true;
 };
 
-class MixNetwork {
+class MixNetwork final : public sim::EventHandler {
  public:
   MixNetwork(sim::ShardedSimulator& sim, MixOptions options, Rng rng);
+
+  /// Where payloads leaving the exit relay go (from = the sending
+  /// actor, to = the recipient). Set before the first send;
+  /// MixTransport points it at itself.
+  void set_receiver(LinkReceiver& receiver) { receiver_ = &receiver; }
 
   std::size_t num_relays() const { return relays_.size(); }
   const crypto::X25519Key& relay_public_key(RelayId r) const;
@@ -48,24 +58,22 @@ class MixNetwork {
   std::vector<RelayId> random_route(std::size_t hops, Rng& rng) const;
 
   /// Onion-wraps `payload` over `route` and injects it at the first
-  /// relay. `deliver` runs with the payload when the exit relay
+  /// relay. The receiver gets the payload when the exit relay
   /// finishes, unless a relay on the path is down or the message is
   /// tampered/replayed (then it is silently dropped, like a real mix).
   /// All of the message's hop latencies derive from ONE next_u64 draw
   /// on `rng` (the caller's stream). The relay hops run as `sender`,
   /// the final delivery as `recipient`: only the exit hop crosses
   /// shards.
-  void send(const std::vector<RelayId>& route, crypto::Bytes payload,
-            std::function<void(crypto::Bytes)> deliver, Rng& rng,
-            sim::ActorId sender, sim::ActorId recipient);
+  void send(const std::vector<RelayId>& route, crypto::BytesView payload,
+            Rng& rng, sim::ActorId sender, sim::ActorId recipient);
 
   /// Injects a raw (already onion-wrapped) message at a relay — what
   /// an adversary replaying captured traffic would do. Used by the
   /// replay-defence tests and the mix_tunnel example. Every hop and the
   /// delivery run as `actor`; hop latencies come from the network's
   /// own stream, so inject is for single-shard runs.
-  void inject(RelayId relay, crypto::Bytes message,
-              std::function<void(crypto::Bytes)> deliver, sim::ActorId actor);
+  void inject(RelayId relay, crypto::BytesView message, sim::ActorId actor);
 
   /// Failure injection: the relay is down during [crash_at,
   /// revive_at), or forever when revive_at < 0. A revived relay keeps
@@ -87,6 +95,10 @@ class MixNetwork {
     return replays_blocked_.load(std::memory_order_relaxed);
   }
 
+  // --- sim::EventHandler: a relay hop, or the exit's delivery ---
+  void fire(const sim::Event& event) override;
+  std::uint32_t handler_tag() const override { return 0x4D49584Eu; }
+
  private:
   /// Scheduled outage window; revive_at < 0 means forever.
   struct CrashWindow {
@@ -103,13 +115,19 @@ class MixNetwork {
     std::vector<CrashWindow> crashes;
   };
 
-  void forward(RelayId relay, crypto::Bytes message,
-               std::function<void(crypto::Bytes)> deliver, Rng msg_rng,
-               sim::ActorId deliver_actor);
+  /// Schedules `message`'s hop into `relay`, `delay` from now, as
+  /// `actor` (the sender).
+  void schedule_hop(sim::ActorId actor, double delay, RelayId relay,
+                    const Rng& msg_rng, crypto::BytesView message,
+                    sim::ActorId deliver_actor);
+  void forward(RelayId relay, crypto::BytesView message, Rng msg_rng,
+               sim::ActorId sender, sim::ActorId deliver_actor);
   bool alive_at(const Relay& r, double t) const;
   double hop_latency(Rng& rng) const;
 
   sim::ShardedSimulator& sim_;
+  sim::HandlerId handler_;
+  LinkReceiver* receiver_ = nullptr;
   MixOptions options_;
   Rng rng_;
   std::vector<Relay> relays_;

@@ -16,10 +16,12 @@ MixTransport::MixTransport(MixNetwork& mix, MixTransportOptions options,
   sender_rngs_.reserve(senders);
   for (std::size_t v = 0; v < senders; ++v)
     sender_rngs_.push_back(rng.split());
+  mix_.set_receiver(*this);
 }
 
 bool MixTransport::send(graph::NodeId from, graph::NodeId to,
-                        sim::EventFn on_deliver) {
+                        sim::Payload message) {
+  PPO_CHECK_MSG(receiver_ != nullptr, "transport has no receiver");
   if (!is_online_(from)) return false;
   sent_.fetch_add(1, std::memory_order_relaxed);
   if (mix_.live_relay_count() < options_.circuit_hops) {
@@ -28,32 +30,23 @@ bool MixTransport::send(graph::NodeId from, graph::NodeId to,
     circuit_failures_.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
-
-  // The simulated payload only needs to identify the delivery: the
-  // real content stays a closure, the bytes exercise the crypto path.
-  crypto::Bytes payload(8);
-  for (int i = 0; i < 4; ++i) {
-    payload[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(from >> (8 * i));
-    payload[static_cast<std::size_t>(4 + i)] =
-        static_cast<std::uint8_t>(to >> (8 * i));
-  }
   bytes_sent_.fetch_add(
-      payload.size() + options_.circuit_hops * kOnionLayerOverhead,
+      message.size() + options_.circuit_hops * kOnionLayerOverhead,
       std::memory_order_relaxed);
 
   Rng& rng = sender_rngs_[from];
   const auto route = mix_.random_route(options_.circuit_hops, rng);
   // Relay hops run as the sender; the delivery belongs to the
   // destination actor, so only the exit hop can cross shards.
-  mix_.send(route, std::move(payload),
-            [this, to, fn = std::move(on_deliver)](crypto::Bytes) {
-              if (!is_online_(to)) return;  // destination went dark
-              delivered_.fetch_add(1, std::memory_order_relaxed);
-              fn();
-            },
-            rng, from, to);
+  mix_.send(route, message, rng, from, to);
   return true;
+}
+
+void MixTransport::receive(graph::NodeId from, graph::NodeId to,
+                           std::span<const std::uint8_t> message) {
+  if (!is_online_(to)) return;  // destination went dark
+  delivered_.fetch_add(1, std::memory_order_relaxed);
+  receiver_->receive(from, to, message);
 }
 
 }  // namespace ppo::privacylink

@@ -21,7 +21,7 @@ struct MixTransportOptions {
   std::size_t circuit_hops = 3;
 };
 
-class MixTransport final : public LinkTransport {
+class MixTransport final : public LinkTransport, public LinkReceiver {
  public:
   /// The transport shares `mix` (relay pool) across all senders;
   /// `is_online` plays the same gating role as in the ideal
@@ -29,13 +29,23 @@ class MixTransport final : public LinkTransport {
   /// offline destination. Each of the `senders` sender ids draws
   /// routes and onion nonces from its own stream split off `rng`,
   /// making every circuit a function of the sender's send sequence
-  /// alone, the same for every shard count.
+  /// alone, the same for every shard count. The transport becomes the
+  /// network's receiver.
   MixTransport(MixNetwork& mix, MixTransportOptions options, Rng rng,
                std::function<bool(graph::NodeId)> is_online,
                std::size_t senders);
 
+  /// The message itself is the onion's payload.
   bool send(graph::NodeId from, graph::NodeId to,
-            sim::EventFn on_deliver) override;
+            sim::Payload message) override;
+
+  /// What leaves the exit relay: gated on the destination being
+  /// online, then handed to this transport's receiver.
+  void receive(graph::NodeId from, graph::NodeId to,
+               std::span<const std::uint8_t> message) override;
+  bool decodable(std::span<const std::uint8_t> message) const override {
+    return receiver_->decodable(message);
+  }
 
   std::uint64_t messages_sent() const override {
     return sent_.load(std::memory_order_relaxed);

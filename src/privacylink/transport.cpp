@@ -6,10 +6,17 @@
 
 namespace ppo::privacylink {
 
+namespace {
+constexpr std::uint8_t kArrival = 0;  // a = sender, payload = message
+}  // namespace
+
 Transport::Transport(sim::ShardedSimulator& sim, TransportOptions options,
                      Rng rng, std::function<bool(NodeId)> is_online,
                      std::size_t senders)
-    : sim_(sim), options_(options), is_online_(std::move(is_online)) {
+    : sim_(sim),
+      handler_(sim.add_handler(*this)),
+      options_(options),
+      is_online_(std::move(is_online)) {
   PPO_CHECK_MSG(options_.min_latency >= 0.0 &&
                     options_.max_latency >= options_.min_latency,
                 "invalid latency window");
@@ -19,30 +26,27 @@ Transport::Transport(sim::ShardedSimulator& sim, TransportOptions options,
     sender_rngs_.push_back(rng.split());
 }
 
-bool Transport::send(NodeId from, NodeId to, sim::EventFn on_deliver) {
+bool Transport::send(NodeId from, NodeId to, sim::Payload message) {
+  PPO_CHECK_MSG(receiver_ != nullptr, "transport has no receiver");
   if (!is_online_(from)) return false;
   sent_.fetch_add(1, std::memory_order_relaxed);
   const double latency = sender_rngs_[from].uniform_double(
       options_.min_latency, options_.max_latency);
-  sim_.schedule_for(to, latency, [this, to, fn = std::move(on_deliver)] {
-    if (!is_online_(to)) return;  // link dark: the far end went offline
-    delivered_.fetch_add(1, std::memory_order_relaxed);
-    fn();
-  });
-  if (journal_ != nullptr)
-    journal_->commit(sim_.now() + latency, sim_.last_ticket());
+  sim_.schedule_for(to, latency, handler_, kArrival, from, 0,
+                    std::move(message));
   return true;
 }
 
-void Transport::restore_delivery(NodeId to, double fire_time,
-                                 sim::EventTicket ticket,
-                                 sim::EventFn payload) {
-  sim_.restore_event(fire_time, ticket, to,
-                     [this, to, fn = std::move(payload)] {
-                       if (!is_online_(to)) return;
-                       delivered_.fetch_add(1, std::memory_order_relaxed);
-                       if (fn) fn();
-                     });
+void Transport::fire(const sim::Event& event) {
+  const auto to = static_cast<NodeId>(event.target);
+  if (!is_online_(to)) return;  // link dark: the far end went offline
+  delivered_.fetch_add(1, std::memory_order_relaxed);
+  receiver_->receive(static_cast<NodeId>(event.a), to, event.payload);
+}
+
+bool Transport::accepts(const sim::Event& event) const {
+  return event.kind == kArrival && event.a < sender_rngs_.size() &&
+         event.b == 0 && receiver_->decodable(event.payload);
 }
 
 void Transport::save_state(ckpt::Writer& w) const {

@@ -1,8 +1,8 @@
 // Ideal anonymity-service transport (§IV): privacy-preserving links
 // are reliable, low-latency and operational exactly when both ends are
-// online. Payload delivery is type-erased — the sender packages the
-// receiving node's handler invocation as a callback, and the transport
-// contributes latency, the online gate, and accounting.
+// online. A message is opaque bytes; the transport contributes
+// latency, the online gate and accounting, and hands what arrives to
+// its receiver.
 #pragma once
 
 #include <atomic>
@@ -13,7 +13,6 @@
 #include "ckpt/io.hpp"
 #include "common/rng.hpp"
 #include "graph/graph.hpp"
-#include "privacylink/delivery_journal.hpp"
 #include "privacylink/link_transport.hpp"
 #include "sim/sharded_simulator.hpp"
 
@@ -29,7 +28,7 @@ struct TransportOptions {
   double max_latency = 0.05;
 };
 
-class Transport final : public LinkTransport {
+class Transport final : public LinkTransport, public sim::EventHandler {
  public:
   /// `is_online(v)` gates both send (source must be online) and
   /// delivery (destination must be online at arrival time).
@@ -41,10 +40,10 @@ class Transport final : public LinkTransport {
   Transport(sim::ShardedSimulator& sim, TransportOptions options, Rng rng,
             std::function<bool(NodeId)> is_online, std::size_t senders);
 
-  /// Sends a message from `from` to `to`; `on_deliver` runs at the
+  /// Sends `message` from `from` to `to`; the receiver gets it at the
   /// arrival time iff the destination is online then. Returns false
   /// (message not sent at all) only when the sender is offline.
-  bool send(NodeId from, NodeId to, sim::EventFn on_deliver) override;
+  bool send(NodeId from, NodeId to, sim::Payload message) override;
 
   std::uint64_t messages_sent() const override {
     return sent_.load(std::memory_order_relaxed);
@@ -54,26 +53,21 @@ class Transport final : public LinkTransport {
   }
 
   /// --- checkpoint/restore -------------------------------------------
-  /// While set, every scheduled delivery is committed to the journal
-  /// (fire time + ticket) so it can be rebuilt after a restore.
-  void set_journal(DeliveryJournal* journal) { journal_ = journal; }
-
-  /// Re-inserts a pending delivery at its original canonical position:
-  /// rebuilds the online gate + delivery counter wrapper around the
-  /// payload (pass an empty fn for a fault-dropped message).
-  void restore_delivery(NodeId to, double fire_time,
-                        sim::EventTicket ticket, sim::EventFn payload);
-
   /// RNG streams and counters (latency draws must continue exactly).
   void save_state(ckpt::Writer& w) const;
   void load_state(ckpt::Reader& r);
 
+  // --- sim::EventHandler: one kind, a message arriving ---
+  void fire(const sim::Event& event) override;
+  std::uint32_t handler_tag() const override { return 0x5452534Eu; }
+  bool accepts(const sim::Event& event) const override;
+
  private:
   sim::ShardedSimulator& sim_;
+  sim::HandlerId handler_;
   TransportOptions options_;
   std::vector<Rng> sender_rngs_;  // one per sender
   std::function<bool(NodeId)> is_online_;
-  DeliveryJournal* journal_ = nullptr;
   std::atomic<std::uint64_t> sent_{0};
   std::atomic<std::uint64_t> delivered_{0};
 };

@@ -17,14 +17,13 @@ namespace ppo::sim {
 namespace {
 
 /// Execution context of the event running on this thread, if any.
-/// Thread-local so shard threads resolve now()/schedule_at against
+/// Thread-local so shard threads resolve now()/schedule_after against
 /// their own in-flight event without synchronization.
 struct ExecContext {
   const ShardedSimulator* sim = nullptr;
   std::size_t shard = ShardedSimulator::kNoShard;
   ActorId actor = kExternalActor;
   Time now = 0.0;
-  EventTicket last_ticket;
 };
 
 thread_local ExecContext* tls_ctx = nullptr;
@@ -86,25 +85,25 @@ Time ShardedSimulator::now() const {
   return (ctx != nullptr && ctx->sim == this) ? ctx->now : now_;
 }
 
-void ShardedSimulator::schedule_at(Time t, EventFn fn) {
-  ExecContext* ctx = tls_ctx;
-  PPO_CHECK_MSG(ctx != nullptr && ctx->sim == this,
-                "outside event context there is no actor to schedule for: "
-                "use schedule_at_for / schedule_for");
-  schedule_at_for(ctx->actor, t, std::move(fn));
+HandlerId ShardedSimulator::add_handler(EventHandler& handler) {
+  PPO_CHECK_MSG(handlers_.size() <= 0xFFFF, "too many event handlers");
+  handlers_.push_back(&handler);
+  return static_cast<HandlerId>(handlers_.size() - 1);
 }
 
-void ShardedSimulator::schedule_at_for(ActorId actor, Time t, EventFn fn) {
+void ShardedSimulator::schedule_at_for(ActorId actor, Time t,
+                                       HandlerId handler, std::uint8_t kind,
+                                       std::uint64_t a, std::uint64_t b,
+                                       Payload payload) {
   PPO_CHECK_MSG(std::isfinite(t), "event time must be finite");
-  PPO_CHECK_MSG(static_cast<bool>(fn), "event callback must be callable");
+  PPO_CHECK_MSG(handler < handlers_.size(), "event handler not registered");
   PPO_CHECK_MSG(actor < options_.num_actors, "actor out of range");
   const std::size_t dst = shard_of(actor);
   ExecContext* ctx = tls_ctx;
   if (ctx != nullptr && ctx->sim == this) {
     PPO_CHECK_MSG(t >= ctx->now, "cannot schedule into the past");
     Event event{t, ctx->actor, actor_seq_[ctx->actor]++, actor,
-                std::move(fn)};
-    ctx->last_ticket = EventTicket{event.origin, event.seq};
+                handler, kind, a, b, std::move(payload)};
     if (dst == ctx->shard) {
       queues_[dst].push(std::move(event));
     } else {
@@ -120,26 +119,28 @@ void ShardedSimulator::schedule_at_for(ActorId actor, Time t, EventFn fn) {
   } else {
     PPO_CHECK_MSG(!in_window_, "external scheduling during a window");
     PPO_CHECK_MSG(t >= now_, "cannot schedule into the past");
-    external_last_ticket_ = EventTicket{kExternalActor, external_seq_};
-    queues_[dst].push(
-        Event{t, kExternalActor, external_seq_++, actor, std::move(fn)});
+    queues_[dst].push(Event{t, kExternalActor, external_seq_++, actor,
+                            handler, kind, a, b, std::move(payload)});
   }
 }
 
-void ShardedSimulator::schedule_after(Time delay, EventFn fn) {
+void ShardedSimulator::schedule_for(ActorId actor, Time delay,
+                                    HandlerId handler, std::uint8_t kind,
+                                    std::uint64_t a, std::uint64_t b,
+                                    Payload payload) {
   PPO_CHECK_MSG(delay >= 0.0, "negative delay");
-  schedule_at(now() + delay, std::move(fn));
+  schedule_at_for(actor, now() + delay, handler, kind, a, b,
+                  std::move(payload));
 }
 
-void ShardedSimulator::schedule_for(ActorId actor, Time delay, EventFn fn) {
-  PPO_CHECK_MSG(delay >= 0.0, "negative delay");
-  schedule_at_for(actor, now() + delay, std::move(fn));
-}
-
-EventTicket ShardedSimulator::last_ticket() const {
+void ShardedSimulator::schedule_after(Time delay, HandlerId handler,
+                                      std::uint8_t kind, std::uint64_t a,
+                                      std::uint64_t b, Payload payload) {
   const ExecContext* ctx = tls_ctx;
-  return (ctx != nullptr && ctx->sim == this) ? ctx->last_ticket
-                                              : external_last_ticket_;
+  PPO_CHECK_MSG(ctx != nullptr && ctx->sim == this,
+                "outside event context there is no actor to schedule for: "
+                "use schedule_for");
+  schedule_for(ctx->actor, delay, handler, kind, a, b, std::move(payload));
 }
 
 void ShardedSimulator::restore_state(
@@ -157,17 +158,102 @@ void ShardedSimulator::restore_state(
   set_sim_time_context(now_);
 }
 
-void ShardedSimulator::restore_event(Time t, EventTicket ticket,
-                                     ActorId target, EventFn fn) {
-  PPO_CHECK_MSG(!in_window_, "restore_event during a window");
-  // Events exactly at the checkpoint time are legal here: the sharded
-  // run_until is exclusive, so an event at `now` is still pending.
-  PPO_CHECK_MSG(std::isfinite(t) && t >= now_,
-                "restored events cannot lie before the checkpoint");
-  PPO_CHECK_MSG(target < options_.num_actors, "actor out of range");
-  PPO_CHECK_MSG(static_cast<bool>(fn), "event callback must be callable");
-  queues_[shard_of(target)].push(
-      Event{t, ticket.origin, ticket.seq, target, std::move(fn)});
+namespace {
+
+constexpr std::uint32_t kQueueTag = 0x51554555u;  // 'QUEU'
+
+/// The canonical (time, origin, seq) order.
+template <typename Keyed>
+bool key_before(const Keyed& x, const Keyed& y) {
+  if (x.time != y.time) return x.time < y.time;
+  if (x.origin != y.origin) return x.origin < y.origin;
+  return x.seq < y.seq;
+}
+
+}  // namespace
+
+void ShardedSimulator::save_events(ckpt::Writer& w) const {
+  PPO_CHECK_MSG(!in_window_, "save_events during a window");
+  struct Pending {
+    Time time;
+    ActorId origin;
+    std::uint64_t seq;
+    const EventQueue::Body* body;
+  };
+  std::vector<Pending> pending;
+  pending.reserve(this->pending());
+  for (const EventQueue& queue : queues_)
+    queue.for_each([&pending](Time t, ActorId origin, std::uint64_t seq,
+                              const EventQueue::Body& body) {
+      pending.push_back(Pending{t, origin, seq, &body});
+    });
+  for (const auto& row : mailboxes_)
+    for (const auto& box : row)
+      PPO_CHECK_MSG(box.empty(), "save_events with undrained mailboxes");
+  std::sort(pending.begin(), pending.end(), key_before<Pending>);
+  w.tag(kQueueTag);
+  w.size(handlers_.size());
+  for (const EventHandler* handler : handlers_) w.u32(handler->handler_tag());
+  w.size(pending.size());
+  for (const Pending& p : pending) {
+    w.f64(p.time);
+    w.u32(p.origin);
+    w.u64(p.seq);
+    w.u32(p.body->target);
+    w.u32(p.body->handler);
+    w.u8(p.body->kind);
+    w.u64(p.body->a);
+    w.u64(p.body->b);
+    w.bytes(p.body->payload);
+  }
+}
+
+void ShardedSimulator::load_events(ckpt::Reader& r) {
+  PPO_CHECK_MSG(!in_window_, "load_events during a window");
+  PPO_CHECK_MSG(pending() == 0, "load_events needs empty queues");
+  r.tag(kQueueTag);
+  if (r.size() != handlers_.size())
+    throw ckpt::ParseError("event handler count mismatch");
+  for (const EventHandler* handler : handlers_)
+    if (r.u32() != handler->handler_tag())
+      throw ckpt::ParseError("event handler list mismatch");
+  const std::size_t count = r.size();
+  Event previous;
+  for (std::size_t i = 0; i < count; ++i) {
+    Event event;
+    event.time = r.f64();
+    event.origin = r.u32();
+    event.seq = r.u64();
+    event.target = r.u32();
+    const std::uint32_t handler = r.u32();
+    event.kind = r.u8();
+    event.a = r.u64();
+    event.b = r.u64();
+    event.payload = r.bytes();
+    // Events exactly at the checkpoint time are legal: run_until is
+    // exclusive of its end, so an event at `now` is still pending.
+    if (!std::isfinite(event.time) || event.time < now_)
+      throw ckpt::ParseError("pending event before the checkpoint");
+    if (event.target >= options_.num_actors)
+      throw ckpt::ParseError("pending event target out of range");
+    const std::uint64_t counter =
+        event.origin == kExternalActor ? external_seq_
+        : event.origin < actor_seq_.size() ? actor_seq_[event.origin]
+                                           : 0;
+    if (event.seq >= counter)
+      throw ckpt::ParseError("pending event seq not below its origin's");
+    if (i > 0 && !key_before(previous, event))
+      throw ckpt::ParseError("pending events out of canonical order");
+    if (handler >= handlers_.size())
+      throw ckpt::ParseError("pending event of an unknown handler");
+    event.handler = static_cast<HandlerId>(handler);
+    if (!handlers_[handler]->accepts(event))
+      throw ckpt::ParseError("pending event its handler does not accept");
+    previous.time = event.time;
+    previous.origin = event.origin;
+    previous.seq = event.seq;
+    queues_[shard_of(event.target)].push(std::move(event));
+  }
 }
 
 void ShardedSimulator::run_shard_window(std::size_t shard, Time window_end) {
@@ -188,7 +274,7 @@ void ShardedSimulator::run_shard_window(std::size_t shard, Time window_end) {
       ctx.now = event.time;
       set_sim_time_context(event.time);
       ++executed;
-      event.fn();
+      handlers_[event.handler]->fire(event);
     }
     if (executed > 0 && obs::trace_enabled(obs::TraceCategory::kShard)) {
       set_sim_time_context(window_end);

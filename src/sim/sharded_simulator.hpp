@@ -45,6 +45,7 @@
 #include <memory>
 #include <vector>
 
+#include "ckpt/io.hpp"
 #include "common/check.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/types.hpp"
@@ -97,18 +98,28 @@ class ShardedSimulator {
   /// event runs, the window floor otherwise.
   Time now() const;
 
-  /// Schedules `fn` at absolute time `t` (>= now) for the actor
-  /// currently executing. Outside event context there is no such
-  /// actor and this throws: use schedule_at_for.
-  void schedule_at(Time t, EventFn fn);
+  /// Registers `handler` (which must outlive the simulator) and
+  /// returns its id. Register every handler before the first event
+  /// runs; the registration order is part of a snapshot's identity.
+  HandlerId add_handler(EventHandler& handler);
 
-  /// Schedules `fn` at absolute time `t` (>= now) on `actor`'s shard;
-  /// the event runs as `actor`.
-  void schedule_at_for(ActorId actor, Time t, EventFn fn);
+  /// Schedules an event of `handler`'s `kind` at absolute time `t`
+  /// (>= now) on `actor`'s shard; the event runs as `actor`. `a`, `b`
+  /// and `payload` are the handler's to interpret.
+  void schedule_at_for(ActorId actor, Time t, HandlerId handler,
+                       std::uint8_t kind, std::uint64_t a = 0,
+                       std::uint64_t b = 0, Payload payload = {});
 
   /// The same, `delay` (>= 0) time units from now.
-  void schedule_after(Time delay, EventFn fn);
-  void schedule_for(ActorId actor, Time delay, EventFn fn);
+  void schedule_for(ActorId actor, Time delay, HandlerId handler,
+                    std::uint8_t kind, std::uint64_t a = 0,
+                    std::uint64_t b = 0, Payload payload = {});
+
+  /// The same for the actor currently executing. Outside event context
+  /// there is no such actor and this throws: use schedule_for.
+  void schedule_after(Time delay, HandlerId handler, std::uint8_t kind,
+                      std::uint64_t a = 0, std::uint64_t b = 0,
+                      Payload payload = {});
 
   /// Runs lockstep windows until `end` (exclusive of events exactly at
   /// `end`); the clock advances to `end`. Returns events executed.
@@ -157,15 +168,9 @@ class ShardedSimulator {
   const std::vector<ShardStats>& shard_stats() const { return stats_; }
 
   /// --- checkpoint/restore -------------------------------------------
-  /// Tickets carry (origin actor, per-origin seq) — the K-invariant
-  /// half of the canonical order, so a checkpoint written at shard
-  /// count K restores at any K' >= 1.
-  ///
-  /// last_ticket() is the ticket of the most recent schedule_* call
-  /// made from the calling context (per shard worker). Checkpoint-aware
-  /// components query it right after scheduling an event they intend
-  /// to journal.
-  EventTicket last_ticket() const;
+  /// The per-origin sequence counters: (origin actor, per-origin seq)
+  /// is the K-invariant half of the canonical order, so a checkpoint
+  /// written at shard count K restores at any K' >= 1.
   const std::vector<std::uint64_t>& actor_seqs() const { return actor_seq_; }
   std::uint64_t external_seq() const { return external_seq_; }
 
@@ -177,13 +182,20 @@ class ShardedSimulator {
                      const std::vector<std::uint64_t>& actor_seqs,
                      std::uint64_t external_seq);
 
-  /// Re-inserts a pending event under its original canonical key
-  /// (time, origin, seq), routed to `target`'s shard under the
-  /// *current* shard count — the step that makes checkpoints
-  /// K-portable. Bypasses window/lookahead checks (restore runs
-  /// strictly between windows).
-  void restore_event(Time t, EventTicket ticket, ActorId target,
-                     EventFn fn);
+  /// Writes the queue section: the registered handlers' tags, then
+  /// every pending event in canonical (time, origin, seq) order with
+  /// its target, handler, kind, arguments and payload — bytes that do
+  /// not depend on the shard count. Call between windows.
+  void save_events(ckpt::Writer& w) const;
+
+  /// Reads a queue section after restore_state() and pushes each event
+  /// into the queue of its target's shard under the *current* shard
+  /// count. Throws ckpt::ParseError on a handler list that differs
+  /// from this simulator's, an unknown handler, an event its handler
+  /// does not accept (EventHandler::accepts), a target out of range, a
+  /// time that is not finite or lies before the clock, a seq not below
+  /// its origin's restored counter, or events out of canonical order.
+  void load_events(ckpt::Reader& r);
 
  private:
   void run_shard_window(std::size_t shard, Time window_end);
@@ -203,15 +215,13 @@ class ShardedSimulator {
   /// its value stream is K-invariant.
   std::vector<std::uint64_t> actor_seq_;
   std::uint64_t external_seq_ = 0;  // origin counter for setup events
-  /// Ticket of the most recent schedule made outside event context;
-  /// in-context tickets live in the executing thread's ExecContext.
-  EventTicket external_last_ticket_;
   /// Events executed before the checkpoint this run resumed from.
   std::uint64_t events_base_ = 0;
   /// stats_[s] is written by shard s's thread during a window (events,
   /// mailbox_out, max_queue, busy) and by the coordinator at barriers
   /// (stall) — never both at once.
   std::vector<ShardStats> stats_;
+  std::vector<EventHandler*> handlers_;  // by HandlerId
   /// Busy wall-seconds of the window in flight, per shard; consumed by
   /// the coordinator right after the barrier to compute stall.
   std::vector<double> window_busy_;

@@ -385,7 +385,6 @@ ServiceModeReport run_service_mode(const ServiceModeOptions& opt) {
                        service.protocol_health(), sim.shard_stats(),
                        wall_since(wall_start), target, opt.shards,
                        service.online_count(), service.overlay_edges().size());
-      if (ckpt_armed) service.prune_checkpoint_journal();
       // Interval writes include one that lands on the horizon itself —
       // that is the warm-start shape: run to the warmup horizon,
       // snapshot, fork longer runs from it later.
@@ -447,7 +446,6 @@ ServiceModeReport run_service_mode(const ServiceModeOptions& opt) {
     sim::ShardedSimulator sim(so);
     overlay::ShardedOverlayService service(sim, trust, model, options,
                                            opt.seed);
-    if (ckpt_armed) service.enable_checkpointing();
     double start_time = 0.0;
     if (!candidates.empty()) {
       start_time = try_restore(service);

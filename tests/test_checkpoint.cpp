@@ -218,8 +218,9 @@ TEST(CheckpointFile, CorruptionMatrix) {
 }
 
 // Version 1 carried the serial backend's payloads and the pseudonym
-// availability bit, version 2 the shared RNG streams; this build must
-// refuse every older file before parsing a payload byte.
+// availability bit, version 2 the shared RNG streams, version 3 the
+// delivery and timer journals; this build must refuse every older file
+// before parsing a payload byte.
 TEST(CheckpointFile, RejectsVersionOneFile) {
   const std::string dir = temp_dir("ckpt_v1");
   const std::string path = write_sample(dir, 0);

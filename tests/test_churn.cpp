@@ -5,6 +5,7 @@
 #include "churn/churn_model.hpp"
 #include "common/stats.hpp"
 #include "sim/sharded_simulator.hpp"
+#include "sim_closures.hpp"
 
 namespace ppo::churn {
 namespace {
@@ -159,14 +160,13 @@ TEST(ChurnDriver, OnlineMasksAreShardCountInvariant) {
   const auto masks_at = [&model](std::size_t shards) {
     sim::ShardedSimulator sim(
         {.shards = shards, .num_actors = kNodes, .lookahead = 1.0});
+    sim::Closures ev(sim);
     ChurnDriver driver(sim, kNodes, model, Rng(11));
     driver.start({});
     // A few crashes and revivals, each scheduled for its own node.
     for (NodeId v = 0; v < kNodes; v += 37) {
-      sim.schedule_at_for(v, 10.0 + v % 7,
-                          [&driver, v] { driver.fail_permanently(v); });
-      sim.schedule_at_for(v, 40.0 + v % 11,
-                          [&driver, v] { driver.revive(v); });
+      ev.at(v, 10.0 + v % 7, [&driver, v] { driver.fail_permanently(v); });
+      ev.at(v, 40.0 + v % 11, [&driver, v] { driver.revive(v); });
     }
     std::vector<std::vector<bool>> masks;
     for (double t = 5.0; t <= 100.0; t += 5.0) {

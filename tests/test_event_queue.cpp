@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <queue>
 #include <vector>
 
@@ -34,21 +33,40 @@ struct RefLater {
 
 using RefQueue = std::priority_queue<RefEntry, std::vector<RefEntry>, RefLater>;
 
+/// An event whose body and payload name its id.
+Event make_event(Time t, ActorId origin, std::uint64_t seq, ActorId target,
+                 int id) {
+  const auto tag = static_cast<std::uint8_t>(id);
+  return Event{t,
+               origin,
+               seq,
+               target,
+               static_cast<HandlerId>(id % 7),
+               static_cast<std::uint8_t>(id % 5),
+               static_cast<std::uint64_t>(id),
+               ~static_cast<std::uint64_t>(id),
+               Payload(static_cast<std::size_t>(id % 9), tag)};
+}
+
 /// Pops one event from both queues and checks they agree on the key,
-/// the target and the callback (which reports the event's id).
-void expect_same_pop(EventQueue& queue, RefQueue& ref, int& ran) {
+/// the target and the body (which names the event's id).
+void expect_same_pop(EventQueue& queue, RefQueue& ref) {
   ASSERT_FALSE(queue.empty());
   const RefEntry want = ref.top();
   ref.pop();
   EXPECT_EQ(queue.top_time(), want.time);
-  Event got = queue.pop();
+  const Event got = queue.pop();
+  const Event expected =
+      make_event(want.time, want.origin, want.seq, want.target, want.id);
   EXPECT_EQ(got.time, want.time);
   EXPECT_EQ(got.origin, want.origin);
   EXPECT_EQ(got.seq, want.seq);
   EXPECT_EQ(got.target, want.target);
-  ran = -1;
-  got.fn();
-  EXPECT_EQ(ran, want.id);
+  EXPECT_EQ(got.handler, expected.handler);
+  EXPECT_EQ(got.kind, expected.kind);
+  EXPECT_EQ(got.a, expected.a);
+  EXPECT_EQ(got.b, expected.b);
+  EXPECT_EQ(got.payload, expected.payload);
 }
 
 TEST(EventQueue, MatchesPriorityQueueReferenceUnderRandomInterleavings) {
@@ -60,7 +78,6 @@ TEST(EventQueue, MatchesPriorityQueueReferenceUnderRandomInterleavings) {
     Rng rng(trial + 1);
     EventQueue queue;
     RefQueue ref;
-    int ran = -1;
     int next_id = 0;
     // Live schedules draw ascending seqs from 1000 per origin; restore
     // pushes re-insert with old seqs from 0 up, below every live one.
@@ -82,39 +99,43 @@ TEST(EventQueue, MatchesPriorityQueueReferenceUnderRandomInterleavings) {
         const ActorId target = static_cast<ActorId>(rng.uniform_u64(100));
         const int id = next_id++;
         ref.push(RefEntry{t, origin, seq, target, id});
-        queue.push(Event{t, origin, seq, target, [&ran, id] { ran = id; }});
+        queue.push(make_event(t, origin, seq, target, id));
       } else {
-        expect_same_pop(queue, ref, ran);
+        expect_same_pop(queue, ref);
       }
       ASSERT_FALSE(HasFailure()) << "trial " << trial << " step " << step;
       ASSERT_EQ(queue.size(), ref.size());
     }
     while (!ref.empty()) {
-      expect_same_pop(queue, ref, ran);
+      expect_same_pop(queue, ref);
       ASSERT_FALSE(HasFailure()) << "trial " << trial << " final drain";
     }
     EXPECT_TRUE(queue.empty());
   }
 }
 
+/// The payload is the state an event carries: pop moves it out (its
+/// buffer is the one pushed, not a copy), and a freed slot is reused
+/// with the next event's body intact.
 TEST(EventQueue, PopReleasesCallbackState) {
   EventQueue queue;
-  auto token = std::make_shared<int>(7);
-  queue.push(Event{1.0, 0, 0, 0, [token] {}});
-  EXPECT_EQ(token.use_count(), 2);
+  Payload bytes(64, 0xAB);
+  const std::uint8_t* buffer = bytes.data();
+  queue.push(Event{1.0, 0, 0, 0, 2, 3, 4, 5, std::move(bytes)});
   {
-    Event e = queue.pop();
-    EXPECT_EQ(token.use_count(), 2);  // moved out, not copied
+    const Event e = queue.pop();
+    EXPECT_EQ(e.payload.data(), buffer);  // moved out, not copied
+    EXPECT_EQ(e.payload, Payload(64, 0xAB));
   }
-  // The slab slot holds no copy once the popped event is gone.
-  EXPECT_EQ(token.use_count(), 1);
-  // The freed slot is reused and carries the new callback intact.
-  int hit = 0;
-  queue.push(Event{2.0, 1, 0, 3, [&hit] { hit = 42; }});
-  Event e = queue.pop();
+  queue.push(Event{2.0, 1, 0, 3, 6, 7, 8, 9, Payload{1, 2, 3}});
+  const Event e = queue.pop();
   EXPECT_EQ(e.target, 3u);
-  e.fn();
-  EXPECT_EQ(hit, 42);
+  EXPECT_EQ(e.handler, 6u);
+  EXPECT_EQ(e.kind, 7u);
+  EXPECT_EQ(e.a, 8u);
+  EXPECT_EQ(e.b, 9u);
+  EXPECT_EQ(e.payload, (Payload{1, 2, 3}));
+  EXPECT_TRUE(queue.empty());
 }
 
 }  // namespace

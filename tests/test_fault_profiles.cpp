@@ -10,8 +10,10 @@
 
 #include "common/check.hpp"
 #include "fault/faulty_transport.hpp"
+#include "link_inbox.hpp"
 #include "privacylink/transport.hpp"
 #include "sim/sharded_simulator.hpp"
+#include "sim_closures.hpp"
 
 namespace ppo::fault {
 namespace {
@@ -20,7 +22,9 @@ using privacylink::NodeId;
 
 struct Fixture {
   sim::ShardedSimulator sim;
+  sim::Closures ev{sim};
   std::vector<char> online;
+  privacylink::Inbox inbox{sim};
   privacylink::Transport inner;
   FaultyTransport faulty;
 
@@ -29,7 +33,16 @@ struct Fixture {
         online(n, 1),
         inner(sim, {.min_latency = 0.01, .max_latency = 0.01}, Rng(7),
               [this](NodeId v) { return online[v] != 0; }, n),
-        faulty(sim, inner, plan, n) {}
+        faulty(sim, inner, plan, n) {
+    faulty.set_receiver(inbox);
+  }
+
+  /// Deliveries that arrived before time `t`.
+  std::size_t delivered_before(double t) const {
+    std::size_t n = 0;
+    for (const auto& d : inbox.got) n += d.time < t;
+    return n;
+  }
 };
 
 FaultPlan ge_plan(double p_gb, double p_bg, double good, double bad,
@@ -153,19 +166,15 @@ TEST(FaultProfiles, EmpiricalLossTracksBadState) {
   const FaultPlan plan = ge_plan(1.0, 0.0, 0.0, 1.0, 1000.0);
   Fixture fx(2, plan);
 
-  std::size_t early = 0, late = 0;
   for (int i = 0; i < 20; ++i)
-    fx.sim.schedule_at_for(0, 0.2, [&] {
-      fx.faulty.send(0, 1, [&] { ++early; });
-    });
+    fx.ev.at(0, 0.2, [&] { fx.faulty.send(0, 1, {}); });
   for (int i = 0; i < 50; ++i)
-    fx.sim.schedule_at_for(0, 10.0 + i, [&] {
-      fx.faulty.send(0, 1, [&] { ++late; });
-    });
+    fx.ev.at(0, 10.0 + i, [&] { fx.faulty.send(0, 1, {}); });
   fx.sim.run_all();
 
+  const std::size_t early = fx.delivered_before(1.0);
   EXPECT_EQ(early, 20u);
-  EXPECT_EQ(late, 0u);
+  EXPECT_EQ(fx.inbox.got.size() - early, 0u);  // late
   EXPECT_EQ(fx.faulty.counters().injected_drops, 50u);
 }
 
@@ -175,13 +184,12 @@ TEST(FaultProfiles, ModerateLossIsStatisticallyPlausible) {
   const FaultPlan plan = ge_plan(1.0, 0.0, 0.0, 0.4, 5000.0);
   Fixture fx(2, plan);
 
-  std::size_t delivered = 0;
   const std::size_t sends = 2000;
   for (std::size_t i = 0; i < sends; ++i)
-    fx.sim.schedule_at_for(0, 5.0 + static_cast<double>(i), [&] {
-      fx.faulty.send(0, 1, [&] { ++delivered; });
-    });
+    fx.ev.at(0, 5.0 + static_cast<double>(i),
+             [&] { fx.faulty.send(0, 1, {}); });
   fx.sim.run_all();
+  const std::size_t delivered = fx.inbox.got.size();
 
   const double rate =
       static_cast<double>(delivered) / static_cast<double>(sends);

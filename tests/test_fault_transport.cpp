@@ -4,22 +4,28 @@
 // FaultInjector's node-crash scheduling.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "common/check.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/faulty_transport.hpp"
+#include "link_inbox.hpp"
 #include "privacylink/transport.hpp"
 #include "sim/sharded_simulator.hpp"
+#include "sim_closures.hpp"
 
 namespace ppo::fault {
 namespace {
 
+using privacylink::Inbox;
 using privacylink::NodeId;
 
 struct Fixture {
   sim::ShardedSimulator sim;
+  sim::Closures ev{sim};
   std::vector<char> online;
+  Inbox inbox{sim};
   privacylink::Transport inner;
   FaultyTransport faulty;
 
@@ -30,8 +36,39 @@ struct Fixture {
         online(n, 1),
         inner(sim, opts, Rng(7),
               [this](NodeId v) { return online[v] != 0; }, n),
-        faulty(sim, inner, plan, n) {}
+        faulty(sim, inner, plan, n) {
+    faulty.set_receiver(inbox);
+  }
+
+  std::size_t deliveries() const { return inbox.got.size(); }
+  /// Deliveries whose message is `tag`.
+  std::size_t deliveries(std::uint8_t tag) const {
+    std::size_t n = 0;
+    for (const Inbox::Delivery& d : inbox.got)
+      n += d.message == sim::Payload{tag};
+    return n;
+  }
 };
+
+/// Arrival times of 20 messages 0 -> 1 over a bare transport, or over
+/// the same transport wrapped with `plan`.
+std::vector<double> arrival_times(const FaultPlan* plan) {
+  sim::ShardedSimulator sim({.num_actors = 2});
+  Inbox inbox(sim);
+  privacylink::Transport t(sim, {.min_latency = 0.1, .max_latency = 0.9},
+                           Rng(7), [](NodeId) { return true; }, 2);
+  t.set_receiver(inbox);
+  std::optional<FaultyTransport> faulty;
+  if (plan != nullptr) {
+    faulty.emplace(sim, t, *plan, 2);
+    faulty->set_receiver(inbox);
+  }
+  privacylink::LinkTransport& link =
+      faulty ? static_cast<privacylink::LinkTransport&>(*faulty) : t;
+  for (int i = 0; i < 20; ++i) link.send(0, 1, {});
+  sim.run_all();
+  return inbox.times();
+}
 
 TEST(FaultPlan, DefaultPlanIsInert) {
   const FaultPlan plan;
@@ -75,15 +112,11 @@ TEST(FaultPlan, ValidateRejectsNonsense) {
 
 TEST(FaultyTransport, InertPlanForwardsVerbatim) {
   Fixture fx(3, FaultPlan{});
-  int deliveries = 0;
-  double delivered_at = -1.0;
-  fx.faulty.send(0, 1, [&] {
-    ++deliveries;
-    delivered_at = fx.sim.now();
-  });
+  fx.faulty.send(0, 1, {1, 2, 3});
   fx.sim.run_all();
-  EXPECT_EQ(deliveries, 1);
-  EXPECT_DOUBLE_EQ(delivered_at, 1.0);  // inner latency only
+  ASSERT_EQ(fx.deliveries(), 1u);
+  EXPECT_EQ(fx.inbox.got[0].message, (sim::Payload{1, 2, 3}));
+  EXPECT_DOUBLE_EQ(fx.inbox.got[0].time, 1.0);  // inner latency only
   EXPECT_EQ(fx.faulty.messages_sent(), 1u);
   EXPECT_EQ(fx.faulty.messages_delivered(), 1u);
   EXPECT_EQ(fx.faulty.counters().total_faulted(), 0u);
@@ -96,27 +129,7 @@ TEST(FaultyTransport, EnabledButIdlePlanMatchesBareTransport) {
   // protocol sees.
   FaultPlan plan;
   plan.link_outages.push_back({1e9, 1e9 + 1.0});
-
-  std::vector<double> bare_times;
-  {
-    sim::ShardedSimulator sim({.num_actors = 2});
-    privacylink::Transport t(sim, {.min_latency = 0.1, .max_latency = 0.9},
-                             Rng(7), [](NodeId) { return true; }, 2);
-    for (int i = 0; i < 20; ++i)
-      t.send(0, 1, [&] { bare_times.push_back(sim.now()); });
-    sim.run_all();
-  }
-  std::vector<double> wrapped_times;
-  {
-    sim::ShardedSimulator sim({.num_actors = 2});
-    privacylink::Transport t(sim, {.min_latency = 0.1, .max_latency = 0.9},
-                             Rng(7), [](NodeId) { return true; }, 2);
-    FaultyTransport faulty(sim, t, plan, 2);
-    for (int i = 0; i < 20; ++i)
-      faulty.send(0, 1, [&] { wrapped_times.push_back(sim.now()); });
-    sim.run_all();
-  }
-  EXPECT_EQ(bare_times, wrapped_times);
+  EXPECT_EQ(arrival_times(nullptr), arrival_times(&plan));
 }
 
 TEST(FaultyTransport, OfflineSenderStillRefused) {
@@ -124,7 +137,7 @@ TEST(FaultyTransport, OfflineSenderStillRefused) {
   plan.drop_probability = 1.0;
   Fixture fx(2, plan);
   fx.online[0] = 0;
-  EXPECT_FALSE(fx.faulty.send(0, 1, [] {}));
+  EXPECT_FALSE(fx.faulty.send(0, 1, {}));
   fx.sim.run_all();
   EXPECT_EQ(fx.faulty.messages_sent(), 0u);
   EXPECT_EQ(fx.faulty.counters().injected_drops, 0u);
@@ -134,10 +147,9 @@ TEST(FaultyTransport, FullLossDropsEverything) {
   FaultPlan plan;
   plan.drop_probability = 1.0;
   Fixture fx(2, plan);
-  int deliveries = 0;
-  for (int i = 0; i < 50; ++i) fx.faulty.send(0, 1, [&] { ++deliveries; });
+  for (int i = 0; i < 50; ++i) fx.faulty.send(0, 1, {});
   fx.sim.run_all();
-  EXPECT_EQ(deliveries, 0);
+  EXPECT_EQ(fx.deliveries(), 0u);
   EXPECT_EQ(fx.faulty.messages_sent(), 50u);
   EXPECT_EQ(fx.faulty.messages_delivered(), 0u);
   EXPECT_EQ(fx.faulty.counters().injected_drops, 50u);
@@ -154,13 +166,13 @@ TEST(FaultyTransport, DropAccountingInvariantUnderMixedFaults) {
   plan.duplicate_probability = 0.3;
   plan.jitter_max = 0.5;
   Fixture fx(4, plan);
-  std::uint64_t deliveries = 0;
   Rng traffic(99);
   for (int i = 0; i < 300; ++i) {
     const NodeId to = 1 + static_cast<NodeId>(traffic.uniform_u64(3));
-    fx.faulty.send(0, to, [&] { ++deliveries; });
+    fx.faulty.send(0, to, {});
   }
   fx.sim.run_all();
+  const std::uint64_t deliveries = fx.deliveries();
 
   EXPECT_EQ(fx.faulty.messages_delivered(), deliveries);
   EXPECT_EQ(fx.faulty.messages_dropped(),
@@ -184,13 +196,13 @@ TEST(FaultyTransport, DropAccountingInvariantWithOfflineReceivers) {
   plan.jitter_max = 0.5;
   Fixture fx(3, plan);
   fx.online[2] = 0;  // permanently offline receiver
-  std::uint64_t deliveries = 0;
   Rng traffic(99);
   for (int i = 0; i < 200; ++i) {
     const NodeId to = 1 + static_cast<NodeId>(traffic.uniform_u64(2));
-    fx.faulty.send(0, to, [&] { ++deliveries; });
+    fx.faulty.send(0, to, {});
   }
   fx.sim.run_all();
+  const std::uint64_t deliveries = fx.deliveries();
 
   EXPECT_EQ(fx.faulty.messages_delivered(), deliveries);
   EXPECT_EQ(fx.faulty.messages_dropped(),
@@ -208,10 +220,9 @@ TEST(FaultyTransport, DuplicateDeliversTwice) {
   FaultPlan plan;
   plan.duplicate_probability = 1.0;
   Fixture fx(2, plan);
-  int deliveries = 0;
-  fx.faulty.send(0, 1, [&] { ++deliveries; });
+  fx.faulty.send(0, 1, {5});
   fx.sim.run_all();
-  EXPECT_EQ(deliveries, 2);
+  EXPECT_EQ(fx.deliveries(5), 2u);
   EXPECT_EQ(fx.faulty.messages_sent(), 2u);  // the copy is on the wire
   EXPECT_EQ(fx.faulty.counters().duplicates, 1u);
 }
@@ -220,15 +231,10 @@ TEST(FaultyTransport, OutageWindowDropsOnlyInside) {
   FaultPlan plan;
   plan.link_outages.push_back({4.0, 6.0});
   Fixture fx(2, plan);
-  int deliveries = 0;
-  fx.sim.schedule_at_for(0, 5.0, [&] {  // inside the window
-    fx.faulty.send(0, 1, [&] { ++deliveries; });
-  });
-  fx.sim.schedule_at_for(0, 7.0, [&] {  // after it
-    fx.faulty.send(0, 1, [&] { ++deliveries; });
-  });
+  fx.ev.at(0, 5.0, [&] { fx.faulty.send(0, 1, {}); });  // inside the window
+  fx.ev.at(0, 7.0, [&] { fx.faulty.send(0, 1, {}); });  // after it
   fx.sim.run_all();
-  EXPECT_EQ(deliveries, 1);
+  EXPECT_EQ(fx.deliveries(), 1u);
   EXPECT_EQ(fx.faulty.counters().outage_drops, 1u);
 }
 
@@ -236,18 +242,18 @@ TEST(FaultyTransport, PartitionBlocksOnlyCrossTraffic) {
   FaultPlan plan;
   plan.partitions.push_back({{0.0, 10.0}, {0, 1}});
   Fixture fx(4, plan);
-  int cross = 0, within = 0, later = 0;
-  fx.faulty.send(0, 2, [&] { ++cross; });   // group -> outside: dropped
-  fx.faulty.send(2, 1, [&] { ++cross; });   // outside -> group: dropped
-  fx.faulty.send(0, 1, [&] { ++within; });  // inside the group: flows
-  fx.faulty.send(2, 3, [&] { ++within; });  // outside the group: flows
-  fx.sim.schedule_at_for(0, 11.0, [&] {     // split healed
-    fx.faulty.send(0, 2, [&] { ++later; });
+  constexpr std::uint8_t kCross = 1, kWithin = 2, kLater = 3;
+  fx.faulty.send(0, 2, {kCross});   // group -> outside: dropped
+  fx.faulty.send(2, 1, {kCross});   // outside -> group: dropped
+  fx.faulty.send(0, 1, {kWithin});  // inside the group: flows
+  fx.faulty.send(2, 3, {kWithin});  // outside the group: flows
+  fx.ev.at(0, 11.0, [&] {           // split healed
+    fx.faulty.send(0, 2, {kLater});
   });
   fx.sim.run_all();
-  EXPECT_EQ(cross, 0);
-  EXPECT_EQ(within, 2);
-  EXPECT_EQ(later, 1);
+  EXPECT_EQ(fx.deliveries(kCross), 0u);
+  EXPECT_EQ(fx.deliveries(kWithin), 2u);
+  EXPECT_EQ(fx.deliveries(kLater), 1u);
   EXPECT_EQ(fx.faulty.counters().partition_drops, 2u);
 }
 
@@ -256,10 +262,10 @@ TEST(FaultyTransport, JitterDelaysDelivery) {
   plan.jitter_min = 5.0;
   plan.jitter_max = 5.0;
   Fixture fx(2, plan);
-  double delivered_at = -1.0;
-  fx.faulty.send(0, 1, [&] { delivered_at = fx.sim.now(); });
+  fx.faulty.send(0, 1, {9});
   fx.sim.run_all();
-  EXPECT_DOUBLE_EQ(delivered_at, 6.0);  // 1 inner latency + 5 jitter
+  ASSERT_EQ(fx.deliveries(9), 1u);
+  EXPECT_DOUBLE_EQ(fx.inbox.got[0].time, 6.0);  // 1 inner latency + 5 jitter
   EXPECT_EQ(fx.faulty.counters().delayed, 1u);
   EXPECT_EQ(fx.faulty.messages_delivered(), 1u);
 }
@@ -270,17 +276,17 @@ TEST(FaultyTransport, ReorderLetsLaterMessagesOvertake) {
   plan.reorder_min_delay = 3.0;
   plan.reorder_max_delay = 3.0;
   Fixture fx(2, plan);
-  std::vector<int> order;
-  fx.faulty.send(0, 1, [&] { order.push_back(1); });
-  fx.sim.schedule_at_for(0, 2.0, [&] {
-    // Bypass the plan for the second message so it keeps its nominal
-    // latency and overtakes the held-back first one.
-    fx.inner.send(0, 1, [&] { order.push_back(2); });
-  });
+  // The second message bypasses the plan on a bare transport of the
+  // same latency, so it overtakes the held-back first one.
+  privacylink::Transport bypass(fx.sim, {.min_latency = 1.0, .max_latency = 1.0},
+                                Rng(8), [](NodeId) { return true; }, 2);
+  bypass.set_receiver(fx.inbox);
+  fx.faulty.send(0, 1, {1});
+  fx.ev.at(0, 2.0, [&] { bypass.send(0, 1, {2}); });
   fx.sim.run_all();
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], 2);
-  EXPECT_EQ(order[1], 1);
+  ASSERT_EQ(fx.deliveries(), 2u);
+  EXPECT_EQ(fx.inbox.got[0].message, sim::Payload{2});
+  EXPECT_EQ(fx.inbox.got[1].message, sim::Payload{1});
 }
 
 TEST(FaultyTransport, FaultPatternIsDeterministic) {
@@ -291,11 +297,10 @@ TEST(FaultyTransport, FaultPatternIsDeterministic) {
     plan.jitter_max = 1.0;
     plan.seed = 123;
     Fixture fx(3, plan);
-    std::vector<double> times;
-    for (int i = 0; i < 100; ++i)
-      fx.faulty.send(0, 1 + (i % 2), [&] { times.push_back(fx.sim.now()); });
+    for (int i = 0; i < 100; ++i) fx.faulty.send(0, 1 + (i % 2), {});
     fx.sim.run_all();
-    return std::make_pair(times, fx.faulty.counters().total_faulted());
+    return std::make_pair(fx.inbox.times(),
+                          fx.faulty.counters().total_faulted());
   };
   const auto a = run();
   const auto b = run();
@@ -340,14 +345,14 @@ TEST(FaultyTransport, LinkDropOverrideIsDirectional) {
   EXPECT_DOUBLE_EQ(fx.faulty.drop_probability_on(0, 1), 1.0);
   EXPECT_DOUBLE_EQ(fx.faulty.drop_probability_on(1, 0), 0.0);
 
-  int forward = 0, reverse = 0;
+  constexpr std::uint8_t kForward = 1, kReverse = 2;
   for (int i = 0; i < 25; ++i) {
-    fx.faulty.send(0, 1, [&] { ++forward; });
-    fx.faulty.send(1, 0, [&] { ++reverse; });
+    fx.faulty.send(0, 1, {kForward});
+    fx.faulty.send(1, 0, {kReverse});
   }
   fx.sim.run_all();
-  EXPECT_EQ(forward, 0);
-  EXPECT_EQ(reverse, 25);
+  EXPECT_EQ(fx.deliveries(kForward), 0u);
+  EXPECT_EQ(fx.deliveries(kReverse), 25u);
   EXPECT_EQ(fx.faulty.counters().injected_drops, 25u);
 }
 
@@ -358,10 +363,9 @@ TEST(FaultyTransport, LaterOverrideForSameLinkWins) {
   plan.link_drop_overrides.push_back({0, 1, 0.0});
   Fixture fx(2, plan);
   EXPECT_DOUBLE_EQ(fx.faulty.drop_probability_on(0, 1), 0.0);
-  int deliveries = 0;
-  fx.faulty.send(0, 1, [&] { ++deliveries; });
+  fx.faulty.send(0, 1, {});
   fx.sim.run_all();
-  EXPECT_EQ(deliveries, 1);
+  EXPECT_EQ(fx.deliveries(), 1u);
 }
 
 /// A plan with overrides present but zero-fault everywhere must be
@@ -370,27 +374,7 @@ TEST(FaultyTransport, LaterOverrideForSameLinkWins) {
 TEST(FaultyTransport, ZeroFaultOverridesKeepBitIdentity) {
   FaultPlan plan;
   plan.link_drop_overrides.push_back({0, 1, 0.0});
-
-  std::vector<double> bare_times;
-  {
-    sim::ShardedSimulator sim({.num_actors = 2});
-    privacylink::Transport t(sim, {.min_latency = 0.1, .max_latency = 0.9},
-                             Rng(7), [](NodeId) { return true; }, 2);
-    for (int i = 0; i < 20; ++i)
-      t.send(0, 1, [&] { bare_times.push_back(sim.now()); });
-    sim.run_all();
-  }
-  std::vector<double> wrapped_times;
-  {
-    sim::ShardedSimulator sim({.num_actors = 2});
-    privacylink::Transport t(sim, {.min_latency = 0.1, .max_latency = 0.9},
-                             Rng(7), [](NodeId) { return true; }, 2);
-    FaultyTransport faulty(sim, t, plan, /*num_nodes=*/2);
-    for (int i = 0; i < 20; ++i)
-      faulty.send(0, 1, [&] { wrapped_times.push_back(sim.now()); });
-    sim.run_all();
-  }
-  EXPECT_EQ(bare_times, wrapped_times);
+  EXPECT_EQ(arrival_times(nullptr), arrival_times(&plan));
 }
 
 TEST(FaultyTransport, PerLinkStreamsNeedTheNodeCount) {
@@ -411,13 +395,14 @@ TEST(FaultyTransport, PerLinkStreamsIsolateLinks) {
 
   const auto deliveries_on_01 = [&plan](bool extra_traffic) {
     Fixture fx(3, plan);
-    std::vector<int> delivered;
     for (int i = 0; i < 60; ++i) {
-      const int idx = i;
-      fx.faulty.send(0, 1, [&delivered, idx] { delivered.push_back(idx); });
-      if (extra_traffic) fx.faulty.send(0, 2, [] {});
+      fx.faulty.send(0, 1, {static_cast<std::uint8_t>(i)});
+      if (extra_traffic) fx.faulty.send(0, 2, {});
     }
     fx.sim.run_all();
+    std::vector<sim::Payload> delivered;
+    for (const Inbox::Delivery& d : fx.inbox.got)
+      if (d.to == 1) delivered.push_back(d.message);
     return delivered;
   };
   EXPECT_EQ(deliveries_on_01(false), deliveries_on_01(true));

@@ -6,6 +6,7 @@
 #include "graph/components.hpp"
 #include "graph/generators.hpp"
 #include "overlay/sharded_service.hpp"
+#include "link_inbox.hpp"
 #include "privacylink/mix_transport.hpp"
 #include "sim/sharded_simulator.hpp"
 
@@ -18,11 +19,13 @@ TEST(MixTransport, DeliversThroughCircuit) {
   std::vector<char> online(4, 1);
   MixTransport transport(mix, {.circuit_hops = 3}, Rng(2),
                          [&](graph::NodeId v) { return online[v] != 0; }, 4);
+  Inbox inbox(sim);
+  transport.set_receiver(inbox);
 
-  bool delivered = false;
-  EXPECT_TRUE(transport.send(0, 1, [&] { delivered = true; }));
+  EXPECT_TRUE(transport.send(0, 1, {4, 2}));
   sim.run_all();
-  EXPECT_TRUE(delivered);
+  ASSERT_EQ(inbox.got.size(), 1u);
+  EXPECT_EQ(inbox.got[0].message, (sim::Payload{4, 2}));
   EXPECT_EQ(transport.messages_delivered(), 1u);
   EXPECT_GT(transport.bytes_sent(), 3 * kOnionLayerOverhead);
   EXPECT_EQ(mix.messages_forwarded(), 3u);
@@ -34,16 +37,17 @@ TEST(MixTransport, GatesOnEndpointAvailability) {
   std::vector<char> online(2, 1);
   MixTransport transport(mix, {.circuit_hops = 2}, Rng(4),
                          [&](graph::NodeId v) { return online[v] != 0; }, 2);
+  Inbox inbox(sim);
+  transport.set_receiver(inbox);
 
   online[0] = 0;
-  EXPECT_FALSE(transport.send(0, 1, [] {}));
+  EXPECT_FALSE(transport.send(0, 1, {}));
 
   online[0] = 1;
   online[1] = 0;
-  bool delivered = false;
-  EXPECT_TRUE(transport.send(0, 1, [&] { delivered = true; }));
+  EXPECT_TRUE(transport.send(0, 1, {}));
   sim.run_all();
-  EXPECT_FALSE(delivered);
+  EXPECT_TRUE(inbox.got.empty());
   EXPECT_EQ(transport.messages_dropped(), 1u);
 }
 
@@ -53,13 +57,14 @@ TEST(MixTransport, RelayFailureLosesInFlightTraffic) {
   std::vector<char> online(2, 1);
   MixTransport transport(mix, {.circuit_hops = 2}, Rng(6),
                          [&](graph::NodeId v) { return online[v] != 0; }, 2);
-  bool delivered = false;
-  transport.send(0, 1, [&] { delivered = true; });
+  Inbox inbox(sim);
+  transport.set_receiver(inbox);
+  transport.send(0, 1, {});
   // Both relays go down after the send, before the entry hop lands.
   mix.schedule_crash(0, 0.001);
   mix.schedule_crash(1, 0.001);
   sim.run_all();
-  EXPECT_FALSE(delivered);
+  EXPECT_TRUE(inbox.got.empty());
 }
 
 TEST(FullStack, OverlayProtocolRunsOverRealOnionCircuits) {

@@ -13,6 +13,7 @@
 #include "obs/trace_export.hpp"
 #include "runner/json.hpp"
 #include "sim/sharded_simulator.hpp"
+#include "sim_closures.hpp"
 
 namespace ppo::obs {
 namespace {
@@ -146,11 +147,12 @@ TEST(Tracer, MergedStreamIsShardCountInvariant) {
     o.num_actors = n;
     o.lookahead = 1.0;
     sim::ShardedSimulator sim(o);
+    sim::Closures ev(sim);
     for (sim::ActorId v = 0; v < n; ++v) {
-      sim.schedule_at_for(v, 0.25, [&sim, v] {
+      ev.at(v, 0.25, [&sim, &ev, v] {
         PPO_TRACE_EVENT(TraceCategory::kUser, "tick", v);
         // Cross-window self message: second record at a later time.
-        sim.schedule_at_for(v, sim.now() + 1.0, [v] {
+        ev.at(v, sim.now() + 1.0, [v] {
           PPO_TRACE_EVENT(TraceCategory::kUser, "tock", v);
         });
       });

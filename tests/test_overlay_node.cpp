@@ -25,7 +25,12 @@ class MockEnv : public NodeEnvironment {
     bool is_request;
   };
   std::vector<Sent> outbox;
-  std::vector<std::pair<double, sim::EventFn>> alarms;
+  struct Alarm {
+    double at;
+    NodeTimer timer;
+    std::uint64_t key;
+  };
+  std::vector<Alarm> alarms;
 
   sim::Time now() const override { return clock; }
   bool is_online(NodeId) const override { return true; }
@@ -50,17 +55,18 @@ class MockEnv : public NodeEnvironment {
                              std::vector<PseudonymRecord> set) override {
     outbox.push_back({from, to, std::move(set), false});
   }
-  void schedule(double delay, sim::EventFn fn) override {
-    alarms.emplace_back(clock + delay, std::move(fn));
+  void schedule_timer(NodeId, double delay, NodeTimer timer,
+                      std::uint64_t key) override {
+    alarms.push_back({clock + delay, timer, key});
   }
 
-  /// Fires every alarm due at or before the current clock.
-  void fire_due_alarms() {
+  /// Fires at `node` every alarm due at or before the current clock.
+  void fire_due_alarms(OverlayNode& node) {
     for (std::size_t i = 0; i < alarms.size();) {
-      if (alarms[i].first <= clock) {
-        auto fn = std::move(alarms[i].second);
+      if (alarms[i].at <= clock) {
+        const Alarm alarm = alarms[i];
         alarms.erase(alarms.begin() + static_cast<std::ptrdiff_t>(i));
-        fn();
+        node.fire_timer(alarm.timer, alarm.key);
       } else {
         ++i;
       }
@@ -105,7 +111,7 @@ TEST(OverlayNode, RenewsExpiredPseudonymViaAlarm) {
   const PseudonymValue first = node.own_pseudonym()->value;
 
   env.clock = 30.1;
-  env.fire_due_alarms();
+  env.fire_due_alarms(node);
   ASSERT_TRUE(node.own_pseudonym().has_value());
   EXPECT_NE(node.own_pseudonym()->value, first);
   EXPECT_DOUBLE_EQ(node.own_pseudonym()->expiry, 60.1);
@@ -119,7 +125,7 @@ TEST(OverlayNode, OfflineNodeRenewsOnRejoinNotViaAlarm) {
   node.handle_offline();
 
   env.clock = 50.0;
-  env.fire_due_alarms();  // alarm fires while offline: no mint
+  env.fire_due_alarms(node);  // alarm fires while offline: no mint
   EXPECT_FALSE(node.own_pseudonym().has_value());
 
   node.handle_online();  // rejoin re-mints
@@ -186,7 +192,7 @@ TEST(OverlayNode, OwnAndSelfResolvingPseudonymsNeverSampled) {
   // with a forged later expiry: the node must recognize its own past
   // address and refuse a self link.
   env.clock = 30.1;
-  env.fire_due_alarms();
+  env.fire_due_alarms(node);
   const PseudonymRecord current = *node.own_pseudonym();
   ASSERT_NE(current.value, own.value);
   const PseudonymRecord forged_old{own.value, env.clock + 100.0};

@@ -42,7 +42,7 @@ class Env : public NodeEnvironment {
                              std::vector<PseudonymRecord>) override {
     ++responses;
   }
-  void schedule(double, sim::EventFn) override {}
+  void schedule_timer(NodeId, double, NodeTimer, std::uint64_t) override {}
 };
 
 OverlayParams params() {

@@ -15,6 +15,7 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "sim/sharded_simulator.hpp"
+#include "sim_closures.hpp"
 
 namespace ppo::sim {
 namespace {
@@ -45,10 +46,11 @@ TEST(ShardedSim, ShardOfIsStableAndInRange) {
 
 TEST(ShardedSim, RejectsExternalScheduleWithoutActor) {
   ShardedSimulator sim(options(2, 8));
-  EXPECT_THROW(sim.schedule_at(1.0, [] {}), CheckError);
+  Closures ev(sim);
+  EXPECT_THROW(ev.after(1.0, [] {}), CheckError);
   // With an explicit actor the external path works.
   bool ran = false;
-  sim.schedule_at_for(3, 0.5, [&ran] { ran = true; });
+  ev.at(3, 0.5, [&ran] { ran = true; });
   sim.run_until(1.0);
   EXPECT_TRUE(ran);
 }
@@ -59,14 +61,15 @@ TEST(ShardedSim, RejectsExternalScheduleWithoutActor) {
 TEST(ShardedSim, MailboxDrainRealizesCanonicalOrder) {
   const std::size_t n = 16;
   ShardedSimulator sim(options(4, n));
+  Closures ev(sim);
   std::vector<std::pair<ActorId, int>> order;
 
   for (ActorId v = 0; v < n; ++v) {
-    sim.schedule_at_for(v, 0.25, [&sim, &order, v] {
+    ev.at(v, 0.25, [&ev, &order, v] {
       // Two messages per origin, equal delivery time: within an
       // origin the sequence number breaks the tie.
-      sim.schedule_at_for(0, 1.5, [&order, v] { order.emplace_back(v, 0); });
-      sim.schedule_at_for(0, 1.5, [&order, v] { order.emplace_back(v, 1); });
+      ev.at(0, 1.5, [&order, v] { order.emplace_back(v, 0); });
+      ev.at(0, 1.5, [&order, v] { order.emplace_back(v, 1); });
     });
   }
   sim.run_until(3.0);
@@ -81,6 +84,7 @@ TEST(ShardedSim, MailboxDrainRealizesCanonicalOrder) {
 TEST(ShardedSim, CrossShardSendInsideWindowViolatesLookahead) {
   const std::size_t n = 8;
   ShardedSimulator sim(options(2, n));
+  Closures ev(sim);
   // Find a pair of actors on different shards.
   ActorId src = 0, dst = 0;
   for (ActorId v = 1; v < n; ++v) {
@@ -91,19 +95,20 @@ TEST(ShardedSim, CrossShardSendInsideWindowViolatesLookahead) {
   }
   ASSERT_NE(sim.shard_of(src), sim.shard_of(dst));
 
-  sim.schedule_at_for(src, 0.25, [&sim, dst] {
+  ev.at(src, 0.25, [&ev, dst] {
     // Delivery inside the current window [0, 1): forbidden.
-    sim.schedule_at_for(dst, 0.5, [] {});
+    ev.at(dst, 0.5, [] {});
   });
   EXPECT_THROW(sim.run_until(1.0), CheckError);
 }
 
 TEST(ShardedSim, SameShardSendInsideWindowIsAllowed) {
   ShardedSimulator sim(options(1, 4));
+  Closures ev(sim);
   std::vector<double> times;
-  sim.schedule_at_for(2, 0.25, [&sim, &times] {
+  ev.at(2, 0.25, [&sim, &ev, &times] {
     times.push_back(sim.now());
-    sim.schedule_at_for(2, 0.5, [&sim, &times] { times.push_back(sim.now()); });
+    ev.at(2, 0.5, [&sim, &times] { times.push_back(sim.now()); });
   });
   sim.run_until(1.0);
   ASSERT_EQ(times.size(), 2u);
@@ -115,8 +120,9 @@ TEST(ShardedSim, SameShardSendInsideWindowIsAllowed) {
 // next window.
 TEST(ShardedSim, RunUntilIsExclusiveOfEnd) {
   ShardedSimulator sim(options(1, 2));
+  Closures ev(sim);
   bool ran = false;
-  sim.schedule_at_for(0, 2.0, [&ran] { ran = true; });
+  ev.at(0, 2.0, [&ran] { ran = true; });
   sim.run_until(2.0);
   EXPECT_FALSE(ran);
   EXPECT_DOUBLE_EQ(sim.now(), 2.0);
@@ -138,6 +144,7 @@ TEST(ShardedSim, BarrierHookFiresOncePerWindow) {
 TEST(ShardedSim, ShardZeroExceptionWaitsForEveryShard) {
   const std::size_t n = 32;
   ShardedSimulator sim(options(4, n));
+  Closures ev(sim);
   ActorId thrower = n;
   std::size_t others = 0;
   std::atomic<std::size_t> ran{0};
@@ -148,16 +155,16 @@ TEST(ShardedSim, ShardZeroExceptionWaitsForEveryShard) {
       continue;
     }
     ++others;
-    sim.schedule_at_for(v, 0.5, [&ran] {
+    ev.at(v, 0.5, [&ran] {
       // Slow enough that a run_until leaving early would see it unfinished.
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
       ran.fetch_add(1);
     });
-    sim.schedule_at_for(v, 1.5, [&next_window] { next_window = true; });
+    ev.at(v, 1.5, [&next_window] { next_window = true; });
   }
   ASSERT_LT(thrower, n);
   ASSERT_GT(others, 0u);
-  sim.schedule_at_for(thrower, 0.25, [] { throw std::runtime_error("boom"); });
+  ev.at(thrower, 0.25, [] { throw std::runtime_error("boom"); });
 
   EXPECT_THROW(sim.run_until(3.0), std::runtime_error);
   EXPECT_EQ(ran.load(), others);
@@ -178,6 +185,7 @@ StormTrace run_storm(std::size_t shards) {
   const std::size_t n = 32;
   const double lookahead = 0.5;
   ShardedSimulator sim(options(shards, n, lookahead));
+  Closures ev(sim);
   StormTrace trace;
   trace.per_actor.resize(n);
   std::vector<Rng> rngs;
@@ -188,6 +196,7 @@ StormTrace run_storm(std::size_t shards) {
   // derived from the ACTOR's own stream at times beyond the lookahead.
   struct Storm {
     ShardedSimulator& sim;
+    Closures& ev;
     StormTrace& trace;
     std::vector<Rng>& rngs;
 
@@ -200,18 +209,16 @@ StormTrace run_storm(std::size_t shards) {
             static_cast<ActorId>(rng.uniform_u64(trace.per_actor.size()));
         const double delay = 0.5 + rng.uniform_double(0.0, 1.5);
         const std::uint64_t next_tag = rng.next_u64();
-        sim.schedule_at_for(
-            target, sim.now() + delay,
-            [this, target, next_tag, depth] {
-              fire(target, next_tag, depth - 1);
-            });
+        ev.at(target, sim.now() + delay, [this, target, next_tag, depth] {
+          fire(target, next_tag, depth - 1);
+        });
       }
     }
-  } storm{sim, trace, rngs};
+  } storm{sim, ev, trace, rngs};
 
   for (ActorId v = 0; v < n; ++v)
-    sim.schedule_at_for(v, 0.1 + 0.01 * static_cast<double>(v),
-                        [&storm, v] { storm.fire(v, v, 5); });
+    ev.at(v, 0.1 + 0.01 * static_cast<double>(v),
+          [&storm, v] { storm.fire(v, v, 5); });
   sim.run_until(12.0);
   trace.events = sim.events_executed();
   return trace;
@@ -237,6 +244,7 @@ TEST(ShardedSim, RunAllDrainsToQuiescence) {
   constexpr ActorId kActors = 8;
   const auto drain = [](std::size_t shards) {
     ShardedSimulator sim(options(shards, kActors));
+    Closures ev(sim);
     std::vector<std::vector<double>> fired(kActors);
     // Each actor hands a countdown to its neighbour, more than one
     // lookahead ahead, so the relay crosses shards.
@@ -244,11 +252,11 @@ TEST(ShardedSim, RunAllDrainsToQuiescence) {
       fired[v].push_back(sim.now());
       if (left == 0) return;
       const ActorId next = (v + 1) % kActors;
-      sim.schedule_at_for(next, sim.now() + 1.25,
-                          [&hop, next, left] { hop(next, left - 1); });
+      ev.at(next, sim.now() + 1.25,
+            [&hop, next, left] { hop(next, left - 1); });
     };
     for (ActorId v = 0; v < kActors; ++v)
-      sim.schedule_at_for(v, 0.5, [&hop, v] { hop(v, 20); });
+      ev.at(v, 0.5, [&hop, v] { hop(v, 20); });
     EXPECT_EQ(sim.run_all(), kActors * 21u);
     EXPECT_TRUE(sim.idle());
     EXPECT_GE(sim.now(), 0.5 + 20 * 1.25);
@@ -260,8 +268,9 @@ TEST(ShardedSim, RunAllDrainsToQuiescence) {
 
   for (const std::size_t shards : {1u, 2u}) {
     ShardedSimulator sim(options(shards, 4));
-    std::function<void()> forever = [&] { sim.schedule_after(1.0, forever); };
-    sim.schedule_at_for(1, 0.0, forever);
+    Closures ev(sim);
+    std::function<void()> forever = [&] { ev.after(1.0, forever); };
+    ev.at(1, 0.0, forever);
     EXPECT_THROW(sim.run_all(100), CheckError) << "K=" << shards;
     EXPECT_GE(sim.events_executed(), 100u);
   }

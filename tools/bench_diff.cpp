@@ -32,7 +32,11 @@
 // `runs[K].metrics` block — advisory by default, since counter drift
 // usually means the workload changed, not that it regressed.
 // `--strict-counters` turns any counter difference into a failure,
-// which is how CI pins exact determinism of a fixed seed. Exit code:
+// which is how CI pins exact determinism of a fixed seed. A timing
+// (wall or cell seconds) regresses only when it grows by more than the
+// threshold AND by more than a fixed floor of seconds
+// (kTimingFloorSeconds): a 0.07 s cell moves by tens of percent between
+// runs of identical work. Exit code:
 // 0 = within threshold (or candidate faster), 1 = regression beyond
 // threshold, 2 = usage or parse error — including a `--threshold` that
 // is not a number >= 0, a `--last` that is not an integer >= 1, and a
@@ -80,6 +84,23 @@ Json load(const std::string& path) {
 double ratio_change(double baseline, double candidate) {
   if (baseline <= 0.0) return 0.0;
   return (candidate - baseline) / baseline;
+}
+
+/// Seconds a timing must grow by, on top of the relative threshold,
+/// to count as a regression: below it, identical work moves by noise.
+/// Evidence: 12 back-to-back runs of CI's reduced fig3 recipe
+/// (--nodes=220 --warmup=80 --measure=20 --alphas=0.25,0.5,0.75
+/// --jobs 0) of one build on a 4-core host. Per-cell seconds ranged
+/// 0.058–0.100 (α = 0.25), 0.212–0.379 (α = 0.5) and 0.400–0.494
+/// (α = 0.75), wall 0.220–0.275: the widest spread, 0.168 s, rounded
+/// up.
+constexpr double kTimingFloorSeconds = 0.2;
+
+/// A timing regresses when it grows by more than `threshold` of the
+/// baseline AND by more than kTimingFloorSeconds.
+bool timing_regressed(double baseline, double candidate, double threshold) {
+  return ratio_change(baseline, candidate) > threshold &&
+         candidate - baseline > kTimingFloorSeconds;
 }
 
 std::string percent(double change) {
@@ -375,9 +396,10 @@ int run_history_mode(const Json& candidate, const std::string& history_path,
     std::cout << "  fastest of window: "
               << field_or(*best, "commit", "(untagged)") << " at " << best_wall
               << " s; candidate " << percent(change) << "\n";
-    if (change > threshold) {
+    if (timing_regressed(best_wall, cand_wall, threshold)) {
       std::cout << "  REGRESSION: wall time up more than "
-                << percent(threshold) << " vs fastest recent run\n";
+                << percent(threshold) << " and " << kTimingFloorSeconds
+                << " s vs fastest recent run\n";
       if (warm_runs_of(*best) > 0.0 && warm_runs_of(candidate) <= 0.0)
         std::cout << "  note: fastest window entry was warm-started; a cold "
                      "candidate pays the full warmup\n";
@@ -568,9 +590,10 @@ int run(int argc, char** argv) {
     std::cout << " wall_seconds " << base_wall << " -> " << cand_wall << " ("
               << percent(wall_change) << ")";
   std::cout << "\n";
-  if (wall_change > threshold) {
+  if (timing_regressed(base_wall, cand_wall, threshold)) {
     std::cout << "  REGRESSION: total wall time up more than "
-              << percent(threshold) << "\n";
+              << percent(threshold) << " and " << kTimingFloorSeconds
+              << " s\n";
     regression = true;
   }
 
@@ -592,7 +615,7 @@ int run(int argc, char** argv) {
   if (!base_cells.empty() && base_cells.size() == cand_cells.size()) {
     for (std::size_t i = 0; i < base_cells.size(); ++i) {
       const double change = ratio_change(base_cells[i], cand_cells[i]);
-      if (change > threshold) {
+      if (timing_regressed(base_cells[i], cand_cells[i], threshold)) {
         std::cout << "  REGRESSION: cell " << i << " " << base_cells[i]
                   << " s -> " << cand_cells[i] << " s ("
                   << percent(change) << ")\n";
@@ -620,7 +643,8 @@ int run(int argc, char** argv) {
       const double change = ratio_change(b, c);
       std::cout << "  K=" << shards << " " << field << " " << b << " -> " << c
                 << " (" << percent(change) << ")\n";
-      if (change > threshold) {
+      const bool timing = std::string(field) == "wall_seconds";
+      if (timing ? timing_regressed(b, c, threshold) : change > threshold) {
         std::cout << "  REGRESSION: K=" << shards << " " << field
                   << " up more than " << percent(threshold) << "\n";
         regression = true;
